@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
   dbm::bench::Init(&argc, argv);
   bench::Header("BB", "black-box overhead on the flash-crowd front door");
   // The overhead comparison needs a quiet injector; the chaos job
-  // exercises the crash point through blackbox_test instead.
+  // exercises the crash point through segment_log_test instead.
   Check(fault::Injector::Default().Configure("", 0).ok(), "injector quiet");
   obs::Registry& reg = obs::Registry::Default();
 
@@ -171,6 +172,10 @@ int main(int argc, char** argv) {
   lopt.max_segments = 64;
   lopt.ring_capacity = 1 << 15;
   lopt.fsync = obs::blackbox::FsyncPolicy::kInterval;
+  // Open resumes whatever history the directory holds; start empty so
+  // the replay below recovers exactly this run's records.
+  std::error_code ec;
+  std::filesystem::remove_all(lopt.dir, ec);
   auto log = obs::blackbox::TelemetryLog::Open(lopt);
   Check(log.ok(), "telemetry log opens");
   (*log)->Install();
@@ -224,9 +229,10 @@ int main(int argc, char** argv) {
   {
     obs::InstallCountingAllocator();
     obs::blackbox::TelemetryLogOptions aopt;
-    // Its own directory: reusing the logged arm's would truncate the
-    // history the replay assertion below recovers.
+    // Its own directory, emptied first: the probe's records must not
+    // join the history the replay assertion below recovers.
     aopt.dir = bench::Context().out_dir + "bench_blackbox_alloc.telem";
+    std::filesystem::remove_all(aopt.dir, ec);
     aopt.start_flusher = false;  // nothing drains: pure enqueue cost
     aopt.ring_capacity = 1 << 14;
     auto alog = obs::blackbox::TelemetryLog::Open(aopt);

@@ -7,143 +7,80 @@ namespace dbm::obs::blackbox {
 
 namespace {
 
-void Put8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void Put32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void Put64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutDouble(std::string* out, double v) {
-  Put64(out, std::bit_cast<uint64_t>(v));
-}
-
 /// Length-prefixed text field (u8 length; the in-record fields are all
 /// shorter than 256 including the terminator).
 void PutText(std::string* out, const char* s, size_t cap) {
   size_t n = ::strnlen(s, cap);
-  Put8(out, static_cast<uint8_t>(n));
+  fault::PutLe(out, static_cast<uint8_t>(n));
   out->append(s, n);
 }
 
-struct Cursor {
-  const uint8_t* data;
-  size_t n;
-  size_t pos = 0;
+bool GetText(fault::PayloadReader* in, char* dst, size_t cap) {
+  uint8_t len = 0;
+  std::string_view text;
+  if (!in->Le(&len) || len >= cap || !in->Bytes(len, &text)) return false;
+  std::memcpy(dst, text.data(), len);
+  dst[len] = '\0';
+  return true;
+}
 
-  bool Get8(uint8_t* v) {
-    if (pos + 1 > n) return false;
-    *v = data[pos++];
-    return true;
+bool GetDouble(fault::PayloadReader* in, double* v) {
+  uint64_t bits = 0;
+  if (!in->Le(&bits)) return false;
+  *v = std::bit_cast<double>(bits);
+  return true;
+}
+
+bool DecodePayload(std::string_view payload, TelemetryRecord* rec) {
+  fault::PayloadReader in(payload);
+  TelemetryRecord out;
+  uint64_t at = 0;
+  if (!in.Le(&out.kind) || !in.Le(&out.trace_id.hi) ||
+      !in.Le(&out.trace_id.lo) || !in.Le(&at) || !GetDouble(&in, &out.a) ||
+      !GetDouble(&in, &out.b) || !GetDouble(&in, &out.c) ||
+      !GetDouble(&in, &out.d) || !GetText(&in, out.name, sizeof(out.name)) ||
+      !GetText(&in, out.text, sizeof(out.text)) ||
+      !GetText(&in, out.extra, sizeof(out.extra)) || !in.done()) {
+    return false;
   }
-  bool Get64(uint64_t* v) {
-    if (pos + 8 > n) return false;
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(data[pos + static_cast<size_t>(i)])
-             << (8 * i);
-    }
-    pos += 8;
-    *v = out;
-    return true;
-  }
-  bool GetDouble(double* v) {
-    uint64_t bits = 0;
-    if (!Get64(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool GetText(char* dst, size_t cap) {
-    uint8_t len = 0;
-    if (!Get8(&len)) return false;
-    if (len >= cap || pos + len > n) return false;
-    std::memcpy(dst, data + pos, len);
-    dst[len] = '\0';
-    pos += len;
-    return true;
-  }
-};
+  out.at_us = static_cast<int64_t>(at);
+  *rec = out;
+  return true;
+}
 
 }  // namespace
 
-void EncodeSegmentHeader(std::string* out) {
-  out->append(kSegmentMagic, sizeof(kSegmentMagic));
-  Put32(out, kFormatVersion);
-}
-
-bool CheckSegmentHeader(const uint8_t* data, size_t n) {
-  if (n < kSegmentHeaderBytes) return false;
-  if (std::memcmp(data, kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
-    return false;
-  }
-  uint32_t version = 0;
-  for (int i = 0; i < 4; ++i) {
-    version |= static_cast<uint32_t>(data[sizeof(kSegmentMagic) +
-                                          static_cast<size_t>(i)])
-               << (8 * i);
-  }
-  return version == kFormatVersion;
-}
-
 void EncodeFrame(const TelemetryRecord& rec, std::string* out) {
-  std::string payload;
-  payload.reserve(64);
-  Put8(&payload, rec.kind);
-  Put64(&payload, rec.trace_id.hi);
-  Put64(&payload, rec.trace_id.lo);
-  Put64(&payload, static_cast<uint64_t>(rec.at_us));
-  PutDouble(&payload, rec.a);
-  PutDouble(&payload, rec.b);
-  PutDouble(&payload, rec.c);
-  PutDouble(&payload, rec.d);
-  PutText(&payload, rec.name, sizeof(rec.name));
-  PutText(&payload, rec.text, sizeof(rec.text));
-  PutText(&payload, rec.extra, sizeof(rec.extra));
-  Put32(out, static_cast<uint32_t>(payload.size()));
-  Put32(out, Crc32(reinterpret_cast<const uint8_t*>(payload.data()),
-                   payload.size()));
-  out->append(payload);
+  const size_t at = fault::BeginFrame(out);
+  fault::PutLe(out, rec.kind);
+  fault::PutLe(out, rec.trace_id.hi);
+  fault::PutLe(out, rec.trace_id.lo);
+  fault::PutLe(out, static_cast<uint64_t>(rec.at_us));
+  for (double v : {rec.a, rec.b, rec.c, rec.d}) {
+    fault::PutLe(out, std::bit_cast<uint64_t>(v));
+  }
+  PutText(out, rec.name, sizeof(rec.name));
+  PutText(out, rec.text, sizeof(rec.text));
+  PutText(out, rec.extra, sizeof(rec.extra));
+  fault::EndFrame(out, at);
 }
 
 bool DecodeFrame(const uint8_t* data, size_t n, TelemetryRecord* rec,
                  size_t* frame_bytes) {
-  if (n < kFrameHeaderBytes) return false;
-  uint32_t len = 0, crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(data[static_cast<size_t>(i)]) << (8 * i);
-    crc |= static_cast<uint32_t>(data[4 + static_cast<size_t>(i)]) << (8 * i);
-  }
-  if (len > kMaxPayloadBytes || kFrameHeaderBytes + len > n) return false;
-  const uint8_t* payload = data + kFrameHeaderBytes;
-  if (Crc32(payload, len) != crc) return false;
-  Cursor cur{payload, len};
-  TelemetryRecord out;
-  uint64_t at = 0;
-  if (!cur.Get8(&out.kind)) return false;
-  if (!cur.Get64(&out.trace_id.hi)) return false;
-  if (!cur.Get64(&out.trace_id.lo)) return false;
-  if (!cur.Get64(&at)) return false;
-  out.at_us = static_cast<int64_t>(at);
-  if (!cur.GetDouble(&out.a)) return false;
-  if (!cur.GetDouble(&out.b)) return false;
-  if (!cur.GetDouble(&out.c)) return false;
-  if (!cur.GetDouble(&out.d)) return false;
-  if (!cur.GetText(out.name, sizeof(out.name))) return false;
-  if (!cur.GetText(out.text, sizeof(out.text))) return false;
-  if (!cur.GetText(out.extra, sizeof(out.extra))) return false;
-  if (cur.pos != len) return false;
-  *rec = out;
-  *frame_bytes = kFrameHeaderBytes + len;
+  std::string_view payload;
+  const size_t bytes = fault::ParseFrame(kTelemetryFormat, data, n, &payload);
+  if (bytes == 0 || !DecodePayload(payload, rec)) return false;
+  *frame_bytes = bytes;
   return true;
+}
+
+fault::FrameFn TelemetryFrames(std::vector<TelemetryRecord>* out) {
+  return [out](std::string_view payload, const std::string&, uint64_t*) {
+    TelemetryRecord rec;
+    if (!DecodePayload(payload, &rec)) return fault::ScanStep::kTorn;
+    if (out != nullptr) out->push_back(rec);
+    return fault::ScanStep::kNext;
+  };
 }
 
 }  // namespace dbm::obs::blackbox

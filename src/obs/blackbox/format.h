@@ -1,21 +1,13 @@
-// The black box's wire format: segment files of length-prefixed,
-// CRC-checksummed frames.
+// The black box's wire format: the shared segment log's frames
+// (fault/segment_log.h) under the "DBMTELM1" magic, one TelemetryRecord
+// per payload.
 //
-// A segment starts with an 8-byte magic ("DBMTELM1") and a u32 format
-// version; every record after it is one frame:
-//
-//   [u32 payload_len][u32 crc32(payload)][payload bytes]
-//
-// all little-endian, written explicitly byte-by-byte (never a raw struct
-// memcpy) so a segment written on one build reads on any other. The
-// payload flattens a TelemetryRecord with length-prefixed text fields so
-// short records (most metric samples) stay short on disk.
-//
-// Decoding is defensive by construction: a frame whose header runs past
-// the buffer, whose length exceeds kMaxPayloadBytes, whose CRC mismatches
-// or whose payload is malformed is a *torn tail* — the reader truncates
-// there and keeps everything before it. That single rule is the whole
-// crash-recovery story (and the dress rehearsal for the ROADMAP's WAL).
+// The payload flattens a TelemetryRecord with length-prefixed text fields
+// so short records (most metric samples) stay short on disk. Decoding is
+// defensive by construction: a payload that is malformed is a *torn
+// tail* exactly like a short header or a CRC mismatch — the reader
+// truncates there and keeps everything before it. That single rule is the
+// whole crash-recovery story.
 
 #ifndef DBM_OBS_BLACKBOX_FORMAT_H_
 #define DBM_OBS_BLACKBOX_FORMAT_H_
@@ -23,32 +15,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "common/crc32.h"
+#include "fault/segment_log.h"
 #include "obs/blackbox/record.h"
 
 namespace dbm::obs::blackbox {
 
-inline constexpr char kSegmentMagic[8] = {'D', 'B', 'M', 'T',
-                                          'E', 'L', 'M', '1'};
-inline constexpr uint32_t kFormatVersion = 1;
-inline constexpr size_t kSegmentHeaderBytes = 12;  // magic + u32 version
-inline constexpr size_t kFrameHeaderBytes = 8;     // u32 len + u32 crc
-/// Upper bound on an encoded payload; anything longer on disk is
-/// corruption, not a record.
-inline constexpr size_t kMaxPayloadBytes = 512;
-
-/// CRC-32 (reflected, poly 0xEDB88320) — the shared common/crc32
-/// implementation, re-exported so existing call sites keep compiling.
-inline uint32_t Crc32(const uint8_t* data, size_t n) {
-  return ::dbm::Crc32(data, n);
-}
-
-/// Appends the 12-byte segment header to *out.
-void EncodeSegmentHeader(std::string* out);
-
-/// True when data[0..n) starts with a valid segment header.
-bool CheckSegmentHeader(const uint8_t* data, size_t n);
+/// The black box's segment files. A payload longer than 512 bytes on
+/// disk is corruption, not a record.
+inline constexpr fault::SegmentFormat kTelemetryFormat{"telem-", "DBMTELM1",
+                                                       1, 512};
 
 /// Appends one complete frame (header + payload) for `rec` to *out.
 void EncodeFrame(const TelemetryRecord& rec, std::string* out);
@@ -58,6 +35,11 @@ void EncodeFrame(const TelemetryRecord& rec, std::string* out);
 /// on a torn or corrupt frame.
 bool DecodeFrame(const uint8_t* data, size_t n, TelemetryRecord* rec,
                  size_t* frame_bytes);
+
+/// The scanner's view of telemetry frames: a payload that fails to
+/// decode is torn; each one that decodes is appended to *out (when out
+/// is not null).
+fault::FrameFn TelemetryFrames(std::vector<TelemetryRecord>* out);
 
 }  // namespace dbm::obs::blackbox
 

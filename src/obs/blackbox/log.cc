@@ -1,16 +1,9 @@
 #include "obs/blackbox/log.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 
 #include "common/json.h"
-#include "fault/injector.h"
-#include "fault/log.h"
+#include "fault/segment_log.h"
 #include "obs/blackbox/format.h"
 #include "obs/health.h"
 
@@ -19,13 +12,6 @@ namespace dbm::obs::blackbox {
 namespace {
 
 std::atomic<TelemetryLog*> g_installed{nullptr};
-
-std::string SegmentName(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "telem-%06llu.seg",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
 
 }  // namespace
 
@@ -38,12 +24,13 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   return "?";
 }
 
-TelemetryLog::TelemetryLog(TelemetryLogOptions options)
+TelemetryLog::TelemetryLog(TelemetryLogOptions options,
+                           std::unique_ptr<fault::SegmentLog> log)
     : options_(std::move(options)),
+      log_(std::move(log)),
       m_appended_(&Registry::Default().GetCounter("blackbox.appended")),
       m_dropped_(&Registry::Default().GetCounter("blackbox.dropped")),
       m_bytes_(&Registry::Default().GetCounter("blackbox.bytes")),
-      m_fsyncs_(&Registry::Default().GetCounter("blackbox.fsyncs")),
       m_segments_(&Registry::Default().GetGauge("blackbox.segments")),
       m_flush_lag_(&Registry::Default().GetGauge("blackbox.flush_lag_us")),
       m_backlog_(&Registry::Default().GetGauge("blackbox.backlog")) {
@@ -55,26 +42,32 @@ TelemetryLog::TelemetryLog(TelemetryLogOptions options)
   for (size_t i = 0; i < cap; ++i) {
     cells_[i].seq.store(i, std::memory_order_relaxed);
   }
-  scratch_.reserve(kMaxPayloadBytes + kFrameHeaderBytes);
-  write_point_ = fault::Injector::Default().GetPoint("obs.blackbox.write");
+  scratch_.reserve(kTelemetryFormat.max_payload + fault::kFrameHeaderBytes);
 }
 
 Result<std::unique_ptr<TelemetryLog>> TelemetryLog::Open(
     TelemetryLogOptions options) {
-  if (options.dir.empty()) {
-    return Status::InvalidArgument("TelemetryLog needs a segment directory");
-  }
   if (options.metric_sample_every == 0) options.metric_sample_every = 1;
-  std::error_code ec;
-  std::filesystem::create_directories(options.dir, ec);
-  if (ec) {
-    return Status::Unavailable("cannot create '" + options.dir +
-                               "': " + ec.message());
+  fault::SegmentLogOptions log_options;
+  log_options.dir = options.dir;
+  log_options.segment_bytes = options.segment_bytes;
+  if (options.fsync == FsyncPolicy::kInterval) {
+    log_options.fsync_interval_bytes = options.fsync_interval_bytes;
   }
-  std::unique_ptr<TelemetryLog> log(new TelemetryLog(std::move(options)));
+  log_options.fsync_on_seal = options.fsync == FsyncPolicy::kRotate;
+  log_options.fault_point = "obs.blackbox.write";
+  log_options.fsync_counter =
+      &Registry::Default().GetCounter("blackbox.fsyncs");
+  fault::SegmentScanReport report;
+  DBM_ASSIGN_OR_RETURN(
+      std::unique_ptr<fault::SegmentLog> segments,
+      fault::SegmentLog::Open(kTelemetryFormat, std::move(log_options),
+                              TelemetryFrames(nullptr), &report));
+  std::unique_ptr<TelemetryLog> log(
+      new TelemetryLog(std::move(options), std::move(segments)));
   {
     std::lock_guard<std::mutex> lock(log->io_mu_);
-    DBM_RETURN_NOT_OK(log->OpenSegment());
+    log->ApplyRetentionLocked();
   }
   if (log->options_.start_flusher) {
     log->flusher_running_ = true;
@@ -159,92 +152,23 @@ TelemetryLog* TelemetryLog::Installed() {
   return g_installed.load(std::memory_order_acquire);
 }
 
-Status TelemetryLog::OpenSegment() {
-  ++segment_seq_;
-  std::string path = options_.dir + "/" + SegmentName(segment_seq_);
-  fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd_ < 0) {
-    return Status::Unavailable("cannot open segment '" + path + "'");
-  }
-  std::string header;
-  EncodeSegmentHeader(&header);
-  if (::write(fd_, header.data(), header.size()) !=
-      static_cast<ssize_t>(header.size())) {
-    ::close(fd_);
-    fd_ = -1;
-    return Status::Unavailable("cannot write segment header to '" + path +
-                               "'");
-  }
-  segment_size_ = header.size();
-  segment_records_ = 0;
-  live_segments_.push_back(path);
-  ++segments_created_;
-  while (live_segments_.size() > options_.max_segments) {
-    ::unlink(live_segments_.front().c_str());
-    live_segments_.pop_front();
-  }
-  m_segments_->Set(static_cast<double>(live_segments_.size()));
-  return Status::OK();
-}
-
-void TelemetryLog::FsyncLocked() {
-  if (fd_ < 0) return;
-  ::fsync(fd_);
-  ++fsyncs_;
-  m_fsyncs_->Add(1);
-  durable_ = flushed_;
-  bytes_since_fsync_ = 0;
-}
-
-void TelemetryLog::SealSegment() {
-  if (fd_ < 0) return;
-  if (options_.fsync == FsyncPolicy::kRotate) FsyncLocked();
-  ::close(fd_);
-  fd_ = -1;
-}
-
-bool TelemetryLog::WriteFrame(const TelemetryRecord& rec) {
-  if (dead_.load(std::memory_order_relaxed)) return false;
+void TelemetryLog::WriteFrameLocked(const TelemetryRecord& rec) {
   scratch_.clear();
   EncodeFrame(rec, &scratch_);
-  if (segment_records_ > 0 &&
-      segment_size_ + scratch_.size() > options_.segment_bytes) {
-    SealSegment();
-    if (!OpenSegment().ok()) {
-      dead_.store(true, std::memory_order_relaxed);
-      return false;
-    }
+  // Frames number from 1 in each process, so the durable barrier reads
+  // as a record count.
+  if (!log_->Append(scratch_, log_->flushed_lsn() + 1, rec.at_us).ok()) {
+    return;
   }
-  if (write_point_->armed() && write_point_->Decide().crash) {
-    // Act the crash out: half a frame on disk, then the flusher dies —
-    // exactly the torn tail a kill -9 mid-append leaves behind. The
-    // reader must truncate here and keep every frame before it.
-    size_t half = scratch_.size() / 2;
-    (void)!::write(fd_, scratch_.data(), half);
-    dead_.store(true, std::memory_order_relaxed);
-    fault::Record(fault::FaultEventKind::kInjected, "obs.blackbox.write",
-                  "crash mid-append: torn frame in " +
-                      (live_segments_.empty() ? options_.dir
-                                              : live_segments_.back()),
-                  rec.at_us);
-    return false;
-  }
-  if (::write(fd_, scratch_.data(), scratch_.size()) !=
-      static_cast<ssize_t>(scratch_.size())) {
-    dead_.store(true, std::memory_order_relaxed);
-    return false;
-  }
-  segment_size_ += scratch_.size();
-  ++segment_records_;
-  ++flushed_;
-  bytes_ += scratch_.size();
-  bytes_since_fsync_ += scratch_.size();
   m_bytes_->Add(scratch_.size());
-  if (options_.fsync == FsyncPolicy::kInterval &&
-      bytes_since_fsync_ >= options_.fsync_interval_bytes) {
-    FsyncLocked();
-  }
-  return true;
+  ApplyRetentionLocked();
+}
+
+void TelemetryLog::ApplyRetentionLocked() {
+  log_->UnlinkOldestWhile([this](const fault::Segment&) {
+    return log_->segments().size() > options_.max_segments;
+  });
+  m_segments_->Set(static_cast<double>(log_->segments().size()));
 }
 
 size_t TelemetryLog::DrainLocked() {
@@ -262,7 +186,7 @@ size_t TelemetryLog::DrainLocked() {
     cell->seq.store(pos + options_.ring_capacity,
                     std::memory_order_release);
     dequeue_pos_.store(pos + 1, std::memory_order_relaxed);
-    WriteFrame(rec);
+    WriteFrameLocked(rec);
     ++drained;
   }
   if (drained > 0 && oldest_enqueue_ns > 0) {
@@ -299,11 +223,7 @@ size_t TelemetryLog::Poll() {
 Status TelemetryLog::Flush() {
   std::lock_guard<std::mutex> lock(io_mu_);
   DrainLocked();
-  if (dead_.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("blackbox flusher is dead (crash fault)");
-  }
-  FsyncLocked();
-  return Status::OK();
+  return log_->Fsync();
 }
 
 void TelemetryLog::Stop() {
@@ -318,10 +238,7 @@ void TelemetryLog::Stop() {
   }
   (void)Flush();
   std::lock_guard<std::mutex> lock(io_mu_);
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  log_->Close();
 }
 
 TelemetryLogStats TelemetryLog::stats() const {
@@ -331,15 +248,15 @@ TelemetryLogStats TelemetryLog::stats() const {
   out.sampled_out = sampled_out_.load(std::memory_order_relaxed);
   out.backlog = enqueue_pos_.load(std::memory_order_relaxed) -
                 dequeue_pos_.load(std::memory_order_relaxed);
-  out.dead = dead_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(io_mu_);
-  out.flushed = flushed_;
-  out.durable = durable_;
-  out.bytes = bytes_;
-  out.segments_created = segments_created_;
-  out.segments_live = live_segments_.size();
-  out.fsyncs = fsyncs_;
+  out.flushed = log_->flushed_lsn();
+  out.durable = log_->durable_lsn();
+  out.bytes = log_->bytes();
+  out.segments_created = log_->segments_created();
+  out.segments_live = log_->segments().size();
+  out.fsyncs = log_->fsyncs();
   out.flush_lag_us = flush_lag_us_;
+  out.dead = log_->dead();
   return out;
 }
 
@@ -352,7 +269,11 @@ double TelemetryLog::BacklogFraction() const {
 
 std::vector<std::string> TelemetryLog::SegmentPaths() const {
   std::lock_guard<std::mutex> lock(io_mu_);
-  return {live_segments_.begin(), live_segments_.end()};
+  std::vector<std::string> out;
+  for (const fault::Segment& seg : log_->segments()) {
+    out.push_back(seg.path);
+  }
+  return out;
 }
 
 std::string TelemetryLog::FlightSectionJson() const {

@@ -3,25 +3,29 @@
 // Hot paths publish TelemetryRecords through the sink tap (record.h);
 // the log accepts them into a wait-free bounded ring (Vyukov-style
 // sequence-stamped cells, many producers, one consumer) and a dedicated
-// flusher thread drains the ring into size-bounded segment files with
-// rotation and retention. The append path allocates nothing and never
-// blocks: when the ring is full the record is counted dropped
-// (blackbox.dropped) and the caller continues — telemetry durability
-// must never stall the machine it observes.
+// flusher thread drains the ring into the shared segment log
+// (fault/segment_log.h), which owns framing, rotation, fsync and the
+// crash point; this class adds the ring, sampling and retention. The
+// append path allocates nothing and never blocks: when the ring is full
+// the record is counted dropped (blackbox.dropped) and the caller
+// continues — telemetry durability must never stall the machine it
+// observes.
 //
 // Durability is tunable per run with FsyncPolicy: kNever trusts the OS,
 // kInterval fsyncs every fsync_interval_bytes, kRotate fsyncs each
 // segment as it is sealed. The stats expose the *fsync barrier*
 // (stats().durable): the record count guaranteed readable after a crash.
 // Everything between the barrier and the ring is the "un-fsynced tail"
-// the acceptance criteria allow a crash to lose.
+// the acceptance criteria allow a crash to lose. A failed fsync kills
+// the log and leaves the barrier where it was.
 //
-// Crash-consistency is exercised through the PR-4 injector: the flusher
+// Crash-consistency is exercised through the fault injector: the flusher
 // consults the fault point "obs.blackbox.write" once per frame, and a
 // crash verdict writes a deliberately torn frame (half the bytes) then
 // kills the flusher — byte-for-byte what a kill -9 mid-append leaves on
-// disk. The TelemetryReader must truncate at that frame and keep the
-// prefix.
+// disk. The TelemetryReader truncates at that frame and keeps the
+// prefix; reopening the directory cuts the torn tail on disk as well and
+// appends after the surviving history.
 
 #ifndef DBM_OBS_BLACKBOX_LOG_H_
 #define DBM_OBS_BLACKBOX_LOG_H_
@@ -29,7 +33,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,7 +44,7 @@
 #include "obs/metrics.h"
 
 namespace dbm::fault {
-class Point;
+class SegmentLog;
 }  // namespace dbm::fault
 
 namespace dbm::obs::blackbox {
@@ -96,8 +99,9 @@ struct TelemetryLogStats {
 
 class TelemetryLog : public TelemetrySink {
  public:
-  /// Creates the directory, opens the first segment and (by default)
-  /// starts the flusher.
+  /// Creates the directory, opens a segment and (by default) starts the
+  /// flusher. A directory an earlier process wrote keeps its trusted
+  /// history: the torn tail is cut and new segments number after it.
   static Result<std::unique_ptr<TelemetryLog>> Open(
       TelemetryLogOptions options);
   ~TelemetryLog() override;
@@ -127,7 +131,8 @@ class TelemetryLog : public TelemetrySink {
   size_t Poll();
 
   /// Drain + fsync: everything appended before the call is durable when
-  /// it returns (the "fsync barrier" tests assert against).
+  /// it returns (the "fsync barrier" tests assert against). IoError when
+  /// the fsync fails, Unavailable once the log is dead.
   Status Flush();
 
   /// Stops the flusher thread (if any) and performs a final Flush.
@@ -143,7 +148,8 @@ class TelemetryLog : public TelemetrySink {
   std::string FlightSectionJson() const;
 
  private:
-  explicit TelemetryLog(TelemetryLogOptions options);
+  TelemetryLog(TelemetryLogOptions options,
+               std::unique_ptr<fault::SegmentLog> log);
 
   struct Cell {
     std::atomic<uint64_t> seq{0};
@@ -151,11 +157,9 @@ class TelemetryLog : public TelemetrySink {
     uint64_t enqueue_ns = 0;
   };
 
-  Status OpenSegment();             // io_mu_ held
-  void SealSegment();               // io_mu_ held
-  void FsyncLocked();               // io_mu_ held
-  bool WriteFrame(const TelemetryRecord& rec);  // io_mu_ held
-  size_t DrainLocked();             // io_mu_ held
+  void WriteFrameLocked(const TelemetryRecord& rec);  // io_mu_ held
+  void ApplyRetentionLocked();                        // io_mu_ held
+  size_t DrainLocked();                               // io_mu_ held
   void FlusherMain();
 
   TelemetryLogOptions options_;
@@ -170,21 +174,9 @@ class TelemetryLog : public TelemetrySink {
   std::atomic<uint64_t> metric_seen_{0};
 
   mutable std::mutex io_mu_;
-  int fd_ = -1;
-  uint64_t segment_seq_ = 0;
-  uint64_t segment_size_ = 0;
-  uint64_t segment_records_ = 0;
-  std::deque<std::string> live_segments_;
-  uint64_t flushed_ = 0;
-  uint64_t durable_ = 0;
-  uint64_t bytes_ = 0;
-  uint64_t segments_created_ = 0;
-  uint64_t fsyncs_ = 0;
-  uint64_t bytes_since_fsync_ = 0;
+  std::unique_ptr<fault::SegmentLog> log_;  // guarded by io_mu_
   int64_t flush_lag_us_ = 0;
-  std::atomic<bool> dead_{false};
   std::string scratch_;  // frame encode buffer, reused across drains
-  fault::Point* write_point_ = nullptr;
 
   std::thread flusher_;
   std::mutex wake_mu_;
@@ -198,7 +190,6 @@ class TelemetryLog : public TelemetrySink {
   Counter* m_appended_;
   Counter* m_dropped_;
   Counter* m_bytes_;
-  Counter* m_fsyncs_;
   Gauge* m_segments_;
   Gauge* m_flush_lag_;
   Gauge* m_backlog_;

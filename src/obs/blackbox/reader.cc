@@ -1,83 +1,23 @@
 #include "obs/blackbox/reader.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 
 #include "obs/blackbox/format.h"
 
 namespace dbm::obs::blackbox {
 
-namespace {
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open '" + path + "'");
-  }
-  std::string out;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
-}  // namespace
-
 Result<TelemetryReader> TelemetryReader::Open(const std::string& dir) {
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec)) {
     return Status::NotFound("no telemetry directory '" + dir + "'");
   }
-  std::vector<std::string> names;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
-    if (name.rfind("telem-", 0) == 0 &&
-        name.size() > 4 && name.substr(name.size() - 4) == ".seg") {
-      names.push_back(name);
-    }
-  }
-  if (names.empty()) {
-    return Status::NotFound("no telemetry segments under '" + dir + "'");
-  }
-  // Zero-padded sequence numbers make lexicographic order append order.
-  std::sort(names.begin(), names.end());
-
   TelemetryReader reader;
   reader.dir_ = dir;
-  for (const std::string& name : names) {
-    const std::string path = dir + "/" + name;
-    DBM_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path));
-    ++reader.report_.segments_scanned;
-    reader.report_.bytes_scanned += bytes.size();
-    const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-    if (!CheckSegmentHeader(data, bytes.size())) {
-      reader.report_.truncated = true;
-      reader.report_.truncated_segment = path;
-      reader.report_.truncated_offset = 0;
-      break;
-    }
-    size_t pos = kSegmentHeaderBytes;
-    bool torn = false;
-    while (pos < bytes.size()) {
-      TelemetryRecord rec;
-      size_t frame_bytes = 0;
-      if (!DecodeFrame(data + pos, bytes.size() - pos, &rec, &frame_bytes)) {
-        torn = true;
-        reader.report_.truncated = true;
-        reader.report_.truncated_segment = path;
-        reader.report_.truncated_offset = pos;
-        break;
-      }
-      reader.records_.push_back(rec);
-      ++reader.report_.records;
-      pos += frame_bytes;
-    }
-    // The torn-tail rule: a bad checksum ends the history. Anything in a
-    // later segment postdates the tear and cannot be trusted to follow
-    // a contiguous prefix, so the scan stops entirely.
-    if (torn) break;
+  DBM_RETURN_NOT_OK(fault::ScanSegments(kTelemetryFormat, dir,
+                                        TelemetryFrames(&reader.records_),
+                                        &reader.report_));
+  if (reader.report_.segments_scanned == 0) {
+    return Status::NotFound("no telemetry segments under '" + dir + "'");
   }
   return reader;
 }

@@ -1,13 +1,15 @@
 // The TelemetryReader: the recovery half of the black box.
 //
 // Opens a segment directory written by TelemetryLog — possibly by a
-// process that died mid-append — and recovers every intact record. The
-// recovery rule is the torn-tail rule: scan segments oldest-first, and
-// at the FIRST frame that fails validation (short header, absurd
-// length, CRC mismatch, malformed payload) truncate — keep everything
-// before it, ignore everything after. A clean shutdown recovers every
-// flushed record; a crash recovers at least the fsync barrier and at
-// most the flushed prefix, never a torn or duplicated record.
+// process that died mid-append — and recovers every intact record. It
+// reads through the segment log's shared scanner (fault::ScanSegments,
+// the one the WAL's recovery uses), so the recovery rule is the
+// torn-tail rule: scan segments in sequence order, and at the FIRST
+// frame that fails validation (short header, absurd length, CRC
+// mismatch, malformed payload) truncate — keep everything before it,
+// ignore everything after. A clean shutdown recovers every flushed
+// record; a crash recovers at least the fsync barrier and at most the
+// flushed prefix, never a torn or duplicated record.
 //
 // On top of the recovered records it rebuilds history views: time-range
 // slices, per-metric last-value-as-of (the Observatory's gauge state at
@@ -23,19 +25,14 @@
 #include <vector>
 
 #include "common/result.h"
+#include "fault/segment_log.h"
 #include "obs/blackbox/record.h"
 
 namespace dbm::obs::blackbox {
 
-struct RecoveryReport {
-  size_t segments_scanned = 0;
-  uint64_t records = 0;
-  uint64_t bytes_scanned = 0;
-  /// True when the scan stopped at a bad frame (the torn tail).
-  bool truncated = false;
-  std::string truncated_segment;
-  uint64_t truncated_offset = 0;
-};
+/// What recovery found: the shared scan report (`frames` counts the
+/// recovered records).
+using RecoveryReport = fault::SegmentScanReport;
 
 class TelemetryReader {
  public:

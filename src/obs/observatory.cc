@@ -417,7 +417,7 @@ std::string HistoryJson(const blackbox::TelemetryReader& reader,
   std::string out = "{\"history\":{";
   out += "\"dir\":\"" + JsonEscape(reader.dir()) + "\"";
   out += ",\"segments_scanned\":" + std::to_string(rep.segments_scanned);
-  out += ",\"records_recovered\":" + std::to_string(rep.records);
+  out += ",\"records_recovered\":" + std::to_string(rep.frames);
   out += ",\"bytes_scanned\":" + std::to_string(rep.bytes_scanned);
   out += std::string(",\"truncated\":") + (rep.truncated ? "true" : "false");
   if (rep.truncated) {

@@ -1,19 +1,7 @@
 #include "storage/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-
-#include "common/crc32.h"
 #include "common/json.h"
-#include "fault/injector.h"
-#include "fault/log.h"
 #include "obs/health.h"
-#include "obs/tracectx.h"
 
 namespace dbm::storage {
 
@@ -21,107 +9,70 @@ namespace {
 
 std::atomic<Wal*> g_installed{nullptr};
 
-std::string SegmentName(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "wal-%06llu.seg",
-                static_cast<unsigned long long>(seq));
-  return buf;
+/// One page-image frame. The writeback hot path encodes straight into
+/// the log's scratch buffer with it: one image copy, no WalRecord detour.
+void EncodePageImageFrame(Lsn lsn, PageId page, const uint8_t* image,
+                          size_t image_bytes, std::string* out) {
+  const size_t at = fault::BeginFrame(out);
+  fault::PutLe(out, static_cast<uint8_t>(WalRecordType::kPageImage));
+  fault::PutLe(out, lsn);
+  fault::PutLe(out, page);
+  fault::PutLe(out, static_cast<uint32_t>(image_bytes));
+  out->append(reinterpret_cast<const char*>(image), image_bytes);
+  fault::EndFrame(out, at);
 }
 
-bool IsSegmentName(const std::string& name) {
-  return name.rfind("wal-", 0) == 0 && name.size() > 4 &&
-         name.substr(name.size() - 4) == ".seg";
-}
-
-/// Parses the zero-padded sequence out of "wal-NNNNNN.seg" (0 on
-/// anything malformed — harmless, Open just starts a fresh numbering).
-uint64_t SegmentSeq(const std::string& name) {
-  if (!IsSegmentName(name)) return 0;
-  uint64_t seq = 0;
-  for (size_t i = 4; i + 4 < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
-
-void Put8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-void Put32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void Put64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-struct Cursor {
-  const uint8_t* data;
-  size_t n;
-  size_t pos = 0;
-
-  bool Get8(uint8_t* v) {
-    if (pos + 1 > n) return false;
-    *v = data[pos++];
-    return true;
-  }
-  bool Get32(uint32_t* v) {
-    if (pos + 4 > n) return false;
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(data[pos + static_cast<size_t>(i)])
-             << (8 * i);
+bool DecodeWalPayload(std::string_view payload, WalRecord* rec) {
+  fault::PayloadReader in(payload);
+  WalRecord out;
+  uint8_t type = 0;
+  if (!in.Le(&type) || !in.Le(&out.lsn)) return false;
+  switch (type) {
+    case static_cast<uint8_t>(WalRecordType::kPageImage): {
+      out.type = WalRecordType::kPageImage;
+      uint32_t image_len = 0;
+      std::string_view image;
+      if (!in.Le(&out.page) || !in.Le(&image_len) ||
+          image_len != kPageSize || !in.Bytes(image_len, &image)) {
+        return false;
+      }
+      out.image.assign(image.begin(), image.end());
+      break;
     }
-    pos += 4;
-    *v = out;
-    return true;
+    case static_cast<uint8_t>(WalRecordType::kCheckpoint):
+      out.type = WalRecordType::kCheckpoint;
+      if (!in.Le(&out.redo_lsn)) return false;
+      break;
+    default:
+      return false;
   }
-  bool Get64(uint64_t* v) {
-    if (pos + 8 > n) return false;
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(data[pos + static_cast<size_t>(i)])
-             << (8 * i);
-    }
-    pos += 8;
-    *v = out;
-    return true;
-  }
-};
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open '" + path + "'");
-  }
-  std::string out;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
+  if (!in.done()) return false;
+  *rec = std::move(out);
+  return true;
 }
 
-std::vector<std::string> ListSegments(const std::string& dir) {
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
-    if (IsSegmentName(name)) names.push_back(name);
-  }
-  // Numeric order, not lexicographic: past sequence 999999 names grow a
-  // digit and "wal-1000000.seg" would sort before "wal-999999.seg",
-  // which ScanWal's monotonicity check would read as a torn tail.
-  std::sort(names.begin(), names.end(),
-            [](const std::string& a, const std::string& b) {
-              uint64_t sa = SegmentSeq(a), sb = SegmentSeq(b);
-              return sa != sb ? sa < sb : a < b;
-            });
-  return names;
+/// The WAL codec over the shared scanner: each payload must decode and
+/// carry an LSN above its predecessor's — an LSN that runs backwards
+/// only comes from a stale or spliced segment and ends the trusted
+/// history like a bad checksum. `fn` (optional) sees each trusted record.
+fault::FrameFn WalFrames(
+    std::function<bool(const WalRecord&, const std::string&)> fn,
+    WalScanReport* report) {
+  return [fn = std::move(fn), report, prev = Lsn{0}](
+             std::string_view payload, const std::string& segment,
+             uint64_t* lsn) mutable {
+    WalRecord rec;
+    if (!DecodeWalPayload(payload, &rec) || rec.lsn <= prev) {
+      return fault::ScanStep::kTorn;
+    }
+    prev = *lsn = rec.lsn;
+    if (rec.type == WalRecordType::kCheckpoint) {
+      ++report->checkpoints;
+      report->redo_lsn = rec.redo_lsn;
+    }
+    return fn && !fn(rec, segment) ? fault::ScanStep::kStop
+                                   : fault::ScanStep::kNext;
+  };
 }
 
 }  // namespace
@@ -135,88 +86,25 @@ const char* WalFsyncPolicyName(WalFsyncPolicy policy) {
   return "?";
 }
 
-void EncodeWalHeader(std::string* out) {
-  out->append(kWalMagic, sizeof(kWalMagic));
-  Put32(out, kWalFormatVersion);
-}
-
-bool CheckWalHeader(const uint8_t* data, size_t n) {
-  if (n < kWalHeaderBytes) return false;
-  if (std::memcmp(data, kWalMagic, sizeof(kWalMagic)) != 0) return false;
-  uint32_t version = 0;
-  for (int i = 0; i < 4; ++i) {
-    version |= static_cast<uint32_t>(
-                   data[sizeof(kWalMagic) + static_cast<size_t>(i)])
-               << (8 * i);
-  }
-  return version == kWalFormatVersion;
-}
-
 void EncodeWalFrame(const WalRecord& rec, std::string* out) {
-  std::string payload;
-  payload.reserve(rec.type == WalRecordType::kPageImage ? kPageSize + 32
-                                                        : 32);
-  Put8(&payload, static_cast<uint8_t>(rec.type));
-  Put64(&payload, rec.lsn);
-  switch (rec.type) {
-    case WalRecordType::kPageImage:
-      Put32(&payload, rec.page);
-      Put32(&payload, static_cast<uint32_t>(rec.image.size()));
-      payload.append(reinterpret_cast<const char*>(rec.image.data()),
-                     rec.image.size());
-      break;
-    case WalRecordType::kCheckpoint:
-      Put64(&payload, rec.redo_lsn);
-      break;
+  if (rec.type == WalRecordType::kPageImage) {
+    EncodePageImageFrame(rec.lsn, rec.page, rec.image.data(),
+                         rec.image.size(), out);
+    return;
   }
-  Put32(out, static_cast<uint32_t>(payload.size()));
-  Put32(out, Crc32(reinterpret_cast<const uint8_t*>(payload.data()),
-                   payload.size()));
-  out->append(payload);
+  const size_t at = fault::BeginFrame(out);
+  fault::PutLe(out, static_cast<uint8_t>(WalRecordType::kCheckpoint));
+  fault::PutLe(out, rec.lsn);
+  fault::PutLe(out, rec.redo_lsn);
+  fault::EndFrame(out, at);
 }
 
 bool DecodeWalFrame(const uint8_t* data, size_t n, WalRecord* rec,
                     size_t* frame_bytes) {
-  if (n < kWalFrameHeaderBytes) return false;
-  uint32_t len = 0, crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(data[static_cast<size_t>(i)]) << (8 * i);
-    crc |= static_cast<uint32_t>(data[4 + static_cast<size_t>(i)])
-           << (8 * i);
-  }
-  if (len > kMaxWalPayloadBytes || kWalFrameHeaderBytes + len > n) {
-    return false;
-  }
-  const uint8_t* payload = data + kWalFrameHeaderBytes;
-  if (Crc32(payload, len) != crc) return false;
-  Cursor cur{payload, len};
-  WalRecord out;
-  uint8_t type = 0;
-  if (!cur.Get8(&type)) return false;
-  if (!cur.Get64(&out.lsn)) return false;
-  switch (type) {
-    case static_cast<uint8_t>(WalRecordType::kPageImage): {
-      out.type = WalRecordType::kPageImage;
-      uint32_t image_len = 0;
-      if (!cur.Get32(&out.page)) return false;
-      if (!cur.Get32(&image_len)) return false;
-      if (image_len != kPageSize || cur.pos + image_len != len) {
-        return false;
-      }
-      out.image.assign(payload + cur.pos, payload + cur.pos + image_len);
-      cur.pos += image_len;
-      break;
-    }
-    case static_cast<uint8_t>(WalRecordType::kCheckpoint):
-      out.type = WalRecordType::kCheckpoint;
-      if (!cur.Get64(&out.redo_lsn)) return false;
-      break;
-    default:
-      return false;
-  }
-  if (cur.pos != len) return false;
-  *rec = std::move(out);
-  *frame_bytes = kWalFrameHeaderBytes + len;
+  std::string_view payload;
+  const size_t bytes = fault::ParseFrame(kWalFormat, data, n, &payload);
+  if (bytes == 0 || !DecodeWalPayload(payload, rec)) return false;
+  *frame_bytes = bytes;
   return true;
 }
 
@@ -226,80 +114,14 @@ Status ScanWal(
                              const std::string& segment)>& fn,
     WalScanReport* report) {
   *report = WalScanReport{};
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    return Status::OK();  // fresh database: nothing to recover
-  }
-  std::vector<std::string> names = ListSegments(dir);
-  Lsn prev_lsn = 0;
-  for (size_t i = 0; i < names.size(); ++i) {
-    const std::string path = dir + "/" + names[i];
-    DBM_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path));
-    ++report->segments_scanned;
-    report->bytes_scanned += bytes.size();
-    WalScanReport::Segment seg;
-    seg.path = path;
-    const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-    size_t pos = 0;
-    bool torn = false;
-    if (!CheckWalHeader(data, bytes.size())) {
-      torn = true;
-    } else {
-      pos = kWalHeaderBytes;
-      while (pos < bytes.size()) {
-        WalRecord rec;
-        size_t frame_bytes = 0;
-        if (!DecodeWalFrame(data + pos, bytes.size() - pos, &rec,
-                            &frame_bytes) ||
-            rec.lsn <= prev_lsn) {
-          // A bad checksum — or an LSN that runs backwards, which only a
-          // stale or spliced segment produces — ends the trusted history.
-          torn = true;
-          break;
-        }
-        prev_lsn = rec.lsn;
-        seg.bytes += frame_bytes;
-        ++seg.frames;
-        if (seg.first_lsn == 0) seg.first_lsn = rec.lsn;
-        seg.last_lsn = rec.lsn;
-        ++report->frames;
-        report->max_lsn = rec.lsn;
-        if (rec.type == WalRecordType::kCheckpoint) {
-          ++report->checkpoints;
-          report->redo_lsn = rec.redo_lsn;
-        }
-        pos += frame_bytes;
-        if (fn && !fn(rec, path)) {
-          report->segments.push_back(std::move(seg));
-          return Status::OK();
-        }
-      }
-    }
-    report->segments.push_back(std::move(seg));
-    if (torn) {
-      // The torn-tail rule: the first untrusted frame ends the history.
-      // Whole later segments postdate the tear and cannot be trusted to
-      // follow a contiguous prefix, so the scan stops entirely.
-      report->truncated = true;
-      report->truncated_segment = path;
-      report->truncated_offset = pos;
-      report->torn_tail_bytes += bytes.size() - pos;
-      for (size_t j = i + 1; j < names.size(); ++j) {
-        std::error_code size_ec;
-        report->torn_tail_bytes += static_cast<uint64_t>(
-            std::filesystem::file_size(dir + "/" + names[j], size_ec));
-      }
-      break;
-    }
-  }
-  return Status::OK();
+  return fault::ScanSegments(kWalFormat, dir, WalFrames(fn, report), report);
 }
 
-Wal::Wal(WalOptions options)
+Wal::Wal(WalOptions options, std::unique_ptr<fault::SegmentLog> log)
     : options_(std::move(options)),
+      log_(std::move(log)),
       m_appends_(&obs::Registry::Default().GetCounter("wal.appends")),
       m_bytes_(&obs::Registry::Default().GetCounter("wal.bytes")),
-      m_fsyncs_(&obs::Registry::Default().GetCounter("wal.fsyncs")),
       m_checkpoints_(
           &obs::Registry::Default().GetCounter("wal.checkpoints")),
       m_truncated_(
@@ -308,245 +130,75 @@ Wal::Wal(WalOptions options)
       m_durable_lsn_(
           &obs::Registry::Default().GetGauge("wal.durable_lsn")),
       m_flush_lag_(&obs::Registry::Default().GetGauge("wal.flush_lag")) {
-  scratch_.reserve(kMaxWalPayloadBytes + kWalFrameHeaderBytes);
-  append_point_ = fault::Injector::Default().GetPoint("storage.wal.append");
+  scratch_.reserve(kWalFormat.max_payload + fault::kFrameHeaderBytes);
+  m_segments_->Set(static_cast<double>(log_->segments().size()));
+  PublishWatermarksLocked();
 }
 
 Result<std::unique_ptr<Wal>> Wal::Open(WalOptions options) {
-  if (options.dir.empty()) {
-    return Status::InvalidArgument("Wal needs a segment directory");
+  fault::SegmentLogOptions log_options;
+  log_options.dir = options.dir;
+  log_options.segment_bytes = options.segment_bytes;
+  if (options.fsync == WalFsyncPolicy::kInterval) {
+    log_options.fsync_interval_bytes = options.fsync_interval_bytes;
   }
-  std::error_code ec;
-  std::filesystem::create_directories(options.dir, ec);
-  if (ec) {
-    return Status::Unavailable("cannot create '" + options.dir +
-                               "': " + ec.message());
-  }
-  std::unique_ptr<Wal> wal(new Wal(std::move(options)));
-
-  // Scan whatever history survived: trust the prefix, physically
-  // truncate the torn tail so new appends never land behind bytes no
-  // reader would believe, and resume LSNs past the trusted end.
+  log_options.fault_point = "storage.wal.append";
+  log_options.fsync_span = "wal.fsync";
+  log_options.fsync_counter =
+      &obs::Registry::Default().GetCounter("wal.fsyncs");
   WalScanReport report;
-  DBM_RETURN_NOT_OK(ScanWal(wal->options_.dir, nullptr, &report));
-  if (report.truncated) {
-    if (report.truncated_offset <= kWalHeaderBytes) {
-      ::unlink(report.truncated_segment.c_str());
-    } else {
-      if (::truncate(report.truncated_segment.c_str(),
-                     static_cast<off_t>(report.truncated_offset)) != 0) {
-        return Status::IoError("cannot truncate torn tail of '" +
-                               report.truncated_segment + "'");
-      }
-    }
-    // Unlink every segment past the tear — by sequence number, not by
-    // re-encountering the torn segment's path: when the tear was at the
-    // header the torn segment was just unlinked and would never be seen
-    // again, leaving stale higher-LSN segments for a later scan to
-    // resurrect.
-    const uint64_t torn_seq = SegmentSeq(
-        std::filesystem::path(report.truncated_segment).filename().string());
-    for (const std::string& name : ListSegments(wal->options_.dir)) {
-      if (SegmentSeq(name) > torn_seq) {
-        ::unlink((wal->options_.dir + "/" + name).c_str());
-      }
-    }
-  }
-  uint64_t last_seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(wal->mu_);
-    for (const WalScanReport::Segment& seg : report.segments) {
-      if (seg.frames == 0) continue;
-      Segment s;
-      s.path = seg.path;
-      s.first_lsn = seg.first_lsn;
-      s.last_lsn = seg.last_lsn;
-      s.sealed = true;
-      wal->segments_.push_back(std::move(s));
-      last_seq = std::max(
-          last_seq,
-          SegmentSeq(std::filesystem::path(seg.path).filename().string()));
-    }
-    wal->segment_seq_ = last_seq;
-    wal->next_lsn_ = report.max_lsn + 1;
-    wal->flushed_lsn_ = report.max_lsn;
-    wal->durable_lsn_ = report.max_lsn;
-    DBM_RETURN_NOT_OK(wal->OpenSegmentLocked());
-    wal->m_durable_lsn_->Set(static_cast<double>(wal->durable_lsn_));
-    wal->m_flush_lag_->Set(0);
-  }
-  return wal;
+  DBM_ASSIGN_OR_RETURN(
+      std::unique_ptr<fault::SegmentLog> log,
+      fault::SegmentLog::Open(kWalFormat, std::move(log_options),
+                              WalFrames(nullptr, &report), &report));
+  return std::unique_ptr<Wal>(new Wal(std::move(options), std::move(log)));
 }
 
 Wal::~Wal() {
   Uninstall();
   std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) {
-    if (!dead_) (void)FsyncLocked();  // best-effort on shutdown
-    ::close(fd_);
-    fd_ = -1;
-  }
+  (void)log_->Fsync();  // best-effort on shutdown; a dead log refuses
 }
 
-Status Wal::OpenSegmentLocked() {
-  ++segment_seq_;
-  std::string path = options_.dir + "/" + SegmentName(segment_seq_);
-  fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd_ < 0) {
-    return Status::Unavailable("cannot open wal segment '" + path + "'");
-  }
-  std::string header;
-  EncodeWalHeader(&header);
-  if (::write(fd_, header.data(), header.size()) !=
-      static_cast<ssize_t>(header.size())) {
-    ::close(fd_);
-    fd_ = -1;
-    return Status::Unavailable("cannot write wal header to '" + path +
-                               "'");
-  }
-  segment_size_ = header.size();
-  segment_frames_ = 0;
-  Segment seg;
-  seg.path = path;
-  segments_.push_back(std::move(seg));
-  ++segments_created_;
-  m_segments_->Set(static_cast<double>(segments_.size()));
-  return Status::OK();
-}
-
-void Wal::SealSegmentLocked() {
-  if (fd_ < 0) return;
-  ::close(fd_);
-  fd_ = -1;
-  if (!segments_.empty()) segments_.back().sealed = true;
-}
-
-Status Wal::FsyncLocked() {
-  if (fd_ < 0) return Status::OK();
-  obs::SpanScope span("wal.fsync", "storage");
-  if (::fsync(fd_) != 0) {
-    // fsyncgate semantics: a failed fsync may have dropped the dirty
-    // pages, and retrying cannot bring them back. The barrier must not
-    // advance — callers would writeback against an image the log never
-    // made durable — so the log dies here.
-    dead_ = true;
-    return Status::IoError("fsync failed on wal segment '" +
-                           (segments_.empty() ? options_.dir
-                                              : segments_.back().path) +
-                           "'");
-  }
-  ++fsyncs_;
-  m_fsyncs_->Add(1);
-  durable_lsn_ = flushed_lsn_;
-  bytes_since_fsync_ = 0;
-  m_durable_lsn_->Set(static_cast<double>(durable_lsn_));
-  m_flush_lag_->Set(static_cast<double>(flushed_lsn_ - durable_lsn_));
-  return Status::OK();
-}
-
-Result<Lsn> Wal::AppendLocked(WalRecord* rec) {
-  if (dead_) {
-    return Status::Unavailable("wal is dead (crash fault)");
-  }
-  rec->lsn = next_lsn_;
-  scratch_.clear();
-  EncodeWalFrame(*rec, &scratch_);
-  return CommitScratchLocked(rec->lsn);
-}
-
-/// Rotation, the fault point, the write and the bookkeeping for the
-/// frame already encoded in scratch_. Split from AppendLocked so the
-/// page-image fast path can encode in place and skip the WalRecord
-/// detour (three 4 KiB copies and a heap allocation per writeback).
-Result<Lsn> Wal::CommitScratchLocked(Lsn lsn) {
-  if (segment_frames_ > 0 &&
-      segment_size_ + scratch_.size() > options_.segment_bytes) {
-    SealSegmentLocked();
-    DBM_RETURN_NOT_OK(OpenSegmentLocked());
-  }
-  if (append_point_->armed()) {
-    fault::Decision verdict = append_point_->Decide();
-    if (verdict.crash) {
-      // Act the crash out: half a frame on disk, then the log dies —
-      // exactly the torn tail a kill -9 mid-append leaves behind.
-      // Recovery must truncate here and keep every frame before it.
-      size_t half = scratch_.size() / 2;
-      (void)!::write(fd_, scratch_.data(), half);
-      dead_ = true;
-      fault::Record(fault::FaultEventKind::kInjected, "storage.wal.append",
-                    "crash mid-append: torn frame in " +
-                        (segments_.empty() ? options_.dir
-                                           : segments_.back().path),
-                    0);
-      return Status::Unavailable("wal is dead (injected crash mid-append)");
-    }
-    if (verdict.error) {
-      // A failed append consumes no LSN and leaves no bytes: the caller
-      // may retry and the history stays contiguous.
-      return Status::IoError("injected wal append error");
-    }
-  }
-  if (::write(fd_, scratch_.data(), scratch_.size()) !=
-      static_cast<ssize_t>(scratch_.size())) {
-    dead_ = true;
-    return Status::Unavailable("short write to wal segment '" +
-                               segments_.back().path + "'");
-  }
-  segment_size_ += scratch_.size();
-  ++segment_frames_;
-  if (segments_.back().first_lsn == 0) segments_.back().first_lsn = lsn;
-  segments_.back().last_lsn = lsn;
-  flushed_lsn_ = lsn;
-  next_lsn_ = lsn + 1;
+Result<Lsn> Wal::AppendScratchLocked(Lsn lsn) {
+  DBM_RETURN_NOT_OK(log_->Append(scratch_, lsn));
   ++appends_;
-  bytes_ += scratch_.size();
-  bytes_since_fsync_ += scratch_.size();
   m_appends_->Add(1);
   m_bytes_->Add(scratch_.size());
-  if (options_.fsync == WalFsyncPolicy::kInterval &&
-      bytes_since_fsync_ >= options_.fsync_interval_bytes) {
-    DBM_RETURN_NOT_OK(FsyncLocked());
-  }
-  m_flush_lag_->Set(static_cast<double>(flushed_lsn_ - durable_lsn_));
+  m_segments_->Set(static_cast<double>(log_->segments().size()));
+  PublishWatermarksLocked();
   return lsn;
+}
+
+Status Wal::SyncLocked() {
+  Status synced = log_->Fsync();
+  PublishWatermarksLocked();
+  return synced;
+}
+
+void Wal::PublishWatermarksLocked() {
+  m_durable_lsn_->Set(static_cast<double>(log_->durable_lsn()));
+  m_flush_lag_->Set(
+      static_cast<double>(log_->flushed_lsn() - log_->durable_lsn()));
 }
 
 Result<Lsn> Wal::AppendPageImage(PageId id, const Page& page) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (dead_) {
-    return Status::Unavailable("wal is dead (crash fault)");
-  }
-  // Writeback hot path: encode straight into scratch_ — one image copy,
-  // byte-identical to EncodeWalFrame on a kPageImage WalRecord.
-  const Lsn lsn = next_lsn_;
-  constexpr uint32_t kPayloadBytes =
-      1 + 8 + 4 + 4 + static_cast<uint32_t>(kPageSize);
+  const Lsn lsn = log_->flushed_lsn() + 1;
   scratch_.clear();
-  Put32(&scratch_, kPayloadBytes);
-  Put32(&scratch_, 0);  // CRC, patched below
-  Put8(&scratch_, static_cast<uint8_t>(WalRecordType::kPageImage));
-  Put64(&scratch_, lsn);
-  Put32(&scratch_, id);
-  Put32(&scratch_, static_cast<uint32_t>(kPageSize));
-  scratch_.append(reinterpret_cast<const char*>(page.bytes.data()),
-                  kPageSize);
-  const uint32_t crc =
-      Crc32(reinterpret_cast<const uint8_t*>(scratch_.data()) +
-                kWalFrameHeaderBytes,
-            kPayloadBytes);
-  for (int i = 0; i < 4; ++i) {
-    scratch_[4 + static_cast<size_t>(i)] =
-        static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
-  return CommitScratchLocked(lsn);
+  EncodePageImageFrame(lsn, id, page.bytes.data(), kPageSize, &scratch_);
+  return AppendScratchLocked(lsn);
 }
 
 Result<Lsn> Wal::AppendCheckpoint(Lsn redo_lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
   WalRecord rec;
   rec.type = WalRecordType::kCheckpoint;
+  rec.lsn = log_->flushed_lsn() + 1;
   rec.redo_lsn = redo_lsn;
-  std::lock_guard<std::mutex> lock(mu_);
-  DBM_ASSIGN_OR_RETURN(Lsn lsn, AppendLocked(&rec));
+  scratch_.clear();
+  EncodeWalFrame(rec, &scratch_);
+  DBM_ASSIGN_OR_RETURN(Lsn lsn, AppendScratchLocked(rec.lsn));
   ++checkpoints_;
   m_checkpoints_->Add(1);
   return lsn;
@@ -554,72 +206,71 @@ Result<Lsn> Wal::AppendCheckpoint(Lsn redo_lsn) {
 
 Status Wal::Durable(Lsn lsn) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (dead_) return Status::Unavailable("wal is dead (crash fault)");
-  if (lsn > flushed_lsn_) {
+  if (log_->dead()) return Status::Unavailable("wal is dead (crash fault)");
+  if (lsn > log_->flushed_lsn()) {
     return Status::FailedPrecondition(
         "durability barrier requested past the flushed LSN");
   }
-  if (lsn <= durable_lsn_) return Status::OK();
-  if (options_.fsync == WalFsyncPolicy::kCommit) {
-    DBM_RETURN_NOT_OK(FsyncLocked());
+  if (lsn <= log_->durable_lsn() ||
+      options_.fsync != WalFsyncPolicy::kCommit) {
+    // kNever / kInterval: the barrier trails by design — the torn-tail
+    // rule still bounds what a crash can cost to the un-fsynced tail.
+    return Status::OK();
   }
-  // kNever / kInterval: the barrier trails by design — the torn-tail
-  // rule still bounds what a crash can cost to the un-fsynced tail.
-  return Status::OK();
+  return SyncLocked();
 }
 
 Status Wal::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (dead_) return Status::Unavailable("wal is dead (crash fault)");
-  return FsyncLocked();
+  return SyncLocked();
 }
 
 Status Wal::TruncateBelow(Lsn redo_lsn) {
   std::lock_guard<std::mutex> lock(mu_);
-  while (segments_.size() > 1 && segments_.front().sealed &&
-         segments_.front().last_lsn != 0 &&
-         segments_.front().last_lsn < redo_lsn) {
-    ::unlink(segments_.front().path.c_str());
-    segments_.pop_front();
-    ++truncated_segments_;
-    m_truncated_->Add(1);
-  }
-  m_segments_->Set(static_cast<double>(segments_.size()));
+  const size_t unlinked = log_->UnlinkOldestWhile(
+      [redo_lsn](const fault::Segment& seg) {
+        return seg.last_lsn < redo_lsn;
+      });
+  truncated_segments_ += unlinked;
+  m_truncated_->Add(unlinked);
+  m_segments_->Set(static_cast<double>(log_->segments().size()));
   return Status::OK();
 }
 
 Lsn Wal::next_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_lsn_;
+  return log_->flushed_lsn() + 1;
 }
 
 Lsn Wal::durable_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return durable_lsn_;
+  return log_->durable_lsn();
 }
 
 WalStats Wal::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   WalStats out;
-  out.next_lsn = next_lsn_;
-  out.flushed_lsn = flushed_lsn_;
-  out.durable_lsn = durable_lsn_;
+  out.next_lsn = log_->flushed_lsn() + 1;
+  out.flushed_lsn = log_->flushed_lsn();
+  out.durable_lsn = log_->durable_lsn();
   out.appends = appends_;
-  out.bytes = bytes_;
-  out.fsyncs = fsyncs_;
+  out.bytes = log_->bytes();
+  out.fsyncs = log_->fsyncs();
   out.checkpoints = checkpoints_;
-  out.segments_created = segments_created_;
-  out.segments_live = segments_.size();
+  out.segments_created = log_->segments_created();
+  out.segments_live = log_->segments().size();
   out.truncated_segments = truncated_segments_;
-  out.dead = dead_;
+  out.dead = log_->dead();
   return out;
 }
 
 std::vector<std::string> Wal::SegmentPaths() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
-  out.reserve(segments_.size());
-  for (const Segment& seg : segments_) out.push_back(seg.path);
+  out.reserve(log_->segments().size());
+  for (const fault::Segment& seg : log_->segments()) {
+    out.push_back(seg.path);
+  }
   return out;
 }
 

@@ -1,17 +1,12 @@
 // The write-ahead log: durability for the paged store.
 //
-// PR 8's black box proved the frame/CRC/torn-tail recipe on telemetry;
-// this module applies the same recipe to the data plane. The log is a
-// directory of segment files ("wal-000001.seg", ...), each starting with
-// an 8-byte magic ("DBMWAL01") + u32 version, followed by CRC-framed
-// records:
-//
-//   [u32 payload_len][u32 crc32(payload)][payload]
-//
-// A payload is either a physical page image (type, LSN, page id, the
-// 4096 bytes) or a fuzzy checkpoint (type, LSN, redo LSN). LSNs are
-// assigned at append, strictly monotonic across segments, and define
-// three watermarks:
+// A payload codec over the shared segment log (fault/segment_log.h):
+// segments "wal-000001.seg", ... under the "DBMWAL01" magic, each frame's
+// payload either a physical page image (type, LSN, page id, the 4096
+// bytes) or a fuzzy checkpoint (type, LSN, redo LSN). The segment log
+// owns framing, rotation, the crash point, fsync and the torn-tail rule;
+// the WAL adds LSNs, assigned at append, strictly monotonic across
+// segments, which define three watermarks:
 //
 //   next_lsn     the LSN the next append will take
 //   flushed_lsn  last frame fully handed to the OS (write(2) returned)
@@ -22,12 +17,11 @@
 // every fsync_interval_bytes), kCommit (Durable(lsn) fsyncs immediately,
 // so the WAL-before-writeback barrier is a real fsync per writeback).
 //
-// Recovery is the torn-tail rule verbatim: scan segments in sequence
-// order,
-// stop at the first frame that fails its checksum, trust nothing after
-// it. Wal::Open physically truncates the torn tail (and unlinks any
-// later segments) so new appends never land behind unreadable bytes,
-// then resumes LSNs where the trusted prefix ended.
+// Recovery is the torn-tail rule plus one codec check: an LSN that does
+// not exceed its predecessor — only a stale or spliced segment produces
+// one — ends the trusted history like a bad checksum. Wal::Open repairs
+// the directory by the same rule and resumes LSNs where the trusted
+// prefix ended.
 //
 // Truncation: once every page dirtied before some redo LSN has been
 // written back to the page file, the segments wholly below that LSN are
@@ -37,7 +31,6 @@
 #ifndef DBM_STORAGE_WAL_H_
 #define DBM_STORAGE_WAL_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -45,12 +38,9 @@
 #include <vector>
 
 #include "common/result.h"
+#include "fault/segment_log.h"
 #include "obs/metrics.h"
 #include "storage/page.h"
-
-namespace dbm::fault {
-class Point;
-}  // namespace dbm::fault
 
 namespace dbm::storage {
 
@@ -60,14 +50,10 @@ using Lsn = uint64_t;
 enum class WalFsyncPolicy { kNever, kInterval, kCommit };
 const char* WalFsyncPolicyName(WalFsyncPolicy policy);
 
-inline constexpr char kWalMagic[8] = {'D', 'B', 'M', 'W', 'A', 'L',
-                                      '0', '1'};
-inline constexpr uint32_t kWalFormatVersion = 1;
-inline constexpr size_t kWalHeaderBytes = 12;      // magic + u32 version
-inline constexpr size_t kWalFrameHeaderBytes = 8;  // u32 len + u32 crc
-/// Upper bound on an encoded payload (a page image plus headroom);
-/// anything longer on disk is corruption, not a record.
-inline constexpr size_t kMaxWalPayloadBytes = kPageSize + 64;
+/// The WAL's segment files. A payload is at most a page image plus
+/// headroom.
+inline constexpr fault::SegmentFormat kWalFormat{"wal-", "DBMWAL01", 1,
+                                                 kPageSize + 64};
 
 enum class WalRecordType : uint8_t {
   kPageImage = 1,
@@ -88,8 +74,6 @@ void EncodeWalFrame(const WalRecord& rec, std::string* out);
 /// frame (the torn-tail signal).
 bool DecodeWalFrame(const uint8_t* data, size_t n, WalRecord* rec,
                     size_t* frame_bytes);
-void EncodeWalHeader(std::string* out);
-bool CheckWalHeader(const uint8_t* data, size_t n);
 
 struct WalOptions {
   std::string dir;                 // segment directory (created if absent)
@@ -112,28 +96,12 @@ struct WalStats {
   bool dead = false;
 };
 
-/// What a scan of a WAL directory found (shared by Wal::Open, recovery
-/// and tools/wal_dump).
-struct WalScanReport {
-  uint64_t segments_scanned = 0;
-  uint64_t frames = 0;
-  uint64_t bytes_scanned = 0;
-  bool truncated = false;              // a torn/corrupt frame ended the scan
-  std::string truncated_segment;
-  uint64_t truncated_offset = 0;
-  uint64_t torn_tail_bytes = 0;        // bytes past the tear, now untrusted
-  Lsn max_lsn = 0;                     // highest trusted LSN
-  Lsn redo_lsn = 0;                    // from the last checkpoint seen
+/// What a scan of a WAL directory found (shared by recovery and
+/// tools/wal_dump): the segment log's report — its max_lsn and
+/// per-segment LSN ranges are WAL LSNs — plus the checkpoint tally.
+struct WalScanReport : fault::SegmentScanReport {
+  Lsn redo_lsn = 0;  // from the last checkpoint seen
   uint64_t checkpoints = 0;
-
-  struct Segment {
-    std::string path;
-    uint64_t frames = 0;
-    Lsn first_lsn = 0;
-    Lsn last_lsn = 0;
-    uint64_t bytes = 0;
-  };
-  std::vector<Segment> segments;
 };
 
 /// Streams every trusted frame under `dir` through `fn` in append order,
@@ -197,50 +165,26 @@ class Wal {
   std::string FlightSectionJson() const;
 
  private:
-  explicit Wal(WalOptions options);
+  Wal(WalOptions options, std::unique_ptr<fault::SegmentLog> log);
 
-  Status OpenSegmentLocked();
-  void SealSegmentLocked();
-  /// fsync of the open segment. On failure the log dies and the durable
-  /// barrier does NOT advance — a failed fsync may have dropped the
-  /// dirty pages and cannot be safely retried.
-  Status FsyncLocked();
-  Result<Lsn> AppendLocked(WalRecord* rec);
-  Result<Lsn> CommitScratchLocked(Lsn lsn);
-
-  struct Segment {
-    std::string path;
-    Lsn first_lsn = 0;
-    Lsn last_lsn = 0;
-    bool sealed = false;
-  };
+  /// Appends the frame encoded in scratch_, whose LSN is `lsn`.
+  Result<Lsn> AppendScratchLocked(Lsn lsn);
+  /// fsync: on failure the log dies and the durable barrier does NOT
+  /// advance — a failed fsync may have dropped the dirty pages and
+  /// cannot be safely retried.
+  Status SyncLocked();
+  void PublishWatermarksLocked();
 
   mutable std::mutex mu_;
   WalOptions options_;
-  int fd_ = -1;
-  uint64_t segment_seq_ = 0;
-  size_t segment_size_ = 0;
-  uint64_t segment_frames_ = 0;
-  std::deque<Segment> segments_;  // back() is the open segment
-
-  Lsn next_lsn_ = 1;
-  Lsn flushed_lsn_ = 0;
-  Lsn durable_lsn_ = 0;
+  std::unique_ptr<fault::SegmentLog> log_;
   uint64_t appends_ = 0;
-  uint64_t bytes_ = 0;
-  uint64_t bytes_since_fsync_ = 0;
-  uint64_t fsyncs_ = 0;
   uint64_t checkpoints_ = 0;
-  uint64_t segments_created_ = 0;
   uint64_t truncated_segments_ = 0;
-  bool dead_ = false;
-  std::string scratch_;
-
-  fault::Point* append_point_;
+  std::string scratch_;  // frame encode buffer, reused across appends
 
   obs::Counter* m_appends_;
   obs::Counter* m_bytes_;
-  obs::Counter* m_fsyncs_;
   obs::Counter* m_checkpoints_;
   obs::Counter* m_truncated_;
   obs::Gauge* m_segments_;

@@ -1,7 +1,9 @@
-// The black box under test: wire format round-trips, wait-free ring
-// behaviour, rotation/retention, fsync barriers, torn-tail recovery
-// (manual corruption and injector-driven crash-mid-append under the
-// chaos seeds), time travel, and the /obs/history and /obs/flight faces.
+// The black box under test: wire format round-trips and rejects, wait-free
+// ring behaviour, rotation/retention, fsync barriers, the reader over a
+// torn or corrupted history, time travel, and the /obs/history and
+// /obs/flight faces. Exhaustive frame fuzzing, reopen repair and
+// crash-mid-append under the chaos seeds run for both segment-log codecs
+// in segment_log_test.
 
 #include <gtest/gtest.h>
 
@@ -30,8 +32,8 @@ namespace dbm::obs::blackbox {
 namespace {
 
 // Every test starts from a clean injector: the chaos CI runs this binary
-// with obs.blackbox.write:crash armed process-wide, and only the crash
-// tests want that point live (they arm it themselves, per seed).
+// with obs.blackbox.write:crash armed process-wide, and none of these
+// tests wants its log to die (the crash tests live in segment_log_test).
 class BlackboxTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -127,12 +129,12 @@ TEST_F(BlackboxTest, DecodeRejectsTornAndCorruptFrames) {
 
   // Torn: any strict prefix fails.
   EXPECT_FALSE(DecodeFrame(data, buf.size() - 1, &out, &fb));
-  EXPECT_FALSE(DecodeFrame(data, kFrameHeaderBytes - 1, &out, &fb));
+  EXPECT_FALSE(DecodeFrame(data, fault::kFrameHeaderBytes - 1, &out, &fb));
   EXPECT_FALSE(DecodeFrame(data, 0, &out, &fb));
 
   // Corrupt payload byte: CRC catches it.
   std::string flipped = buf;
-  flipped[kFrameHeaderBytes + 3] ^= 0x40;
+  flipped[fault::kFrameHeaderBytes + 3] ^= 0x40;
   EXPECT_FALSE(DecodeFrame(reinterpret_cast<const uint8_t*>(flipped.data()),
                            flipped.size(), &out, &fb));
 
@@ -298,6 +300,9 @@ TEST_F(BlackboxTest, FsyncPolicyIntervalAdvancesBarrierByBytes) {
   EXPECT_LE(s.durable, s.flushed);
 }
 
+// The shared suite appends and polls one record at a time; these two
+// write through Poll batches and read back through the reader's own
+// accessors.
 TEST_F(BlackboxTest, ReaderTruncatesAtManuallyTornTail) {
   auto log = TelemetryLog::Open(ManualOptions());
   ASSERT_TRUE(log.ok());
@@ -368,63 +373,6 @@ TEST_F(BlackboxTest, CorruptionMidHistoryStopsTheWholeScan) {
     EXPECT_EQ(reader->records()[i].at_us, static_cast<int64_t>(i + 1));
   }
 }
-
-// The acceptance test: crash mid-append under each chaos seed, recover,
-// and require exactly-once prefix semantics — every recovered record is
-// the i-th appended record, the count is at least the fsync barrier and
-// at most the flushed count, and nothing is torn or duplicated.
-class BlackboxCrashTest : public BlackboxTest,
-                          public ::testing::WithParamInterface<uint64_t> {};
-
-TEST_P(BlackboxCrashTest, CrashMidAppendRecoversExactPrefix) {
-  ASSERT_TRUE(fault::Injector::Default()
-                  .Configure("obs.blackbox.write:crash@0.01", GetParam())
-                  .ok());
-  TelemetryLogOptions o = ManualOptions();
-  o.fsync = FsyncPolicy::kInterval;
-  o.fsync_interval_bytes = 4096;
-  o.ring_capacity = 1 << 10;
-  auto log = TelemetryLog::Open(o);
-  ASSERT_TRUE(log.ok());
-
-  uint64_t offered = 0;
-  for (int i = 1; i <= 20000 && !(*log)->stats().dead; ++i) {
-    // at_us doubles as the append sequence number the recovery assertion
-    // checks against.
-    (*log)->Append(MakeRecord(RecordKind::kDecision, i));
-    ++offered;
-    if (i % 64 == 0) (*log)->Poll();
-  }
-  (*log)->Poll();
-  TelemetryLogStats s = (*log)->stats();
-  ASSERT_TRUE(s.dead) << "seed " << GetParam()
-                      << ": the 1% crash point never fired in " << offered
-                      << " frames";
-  EXPECT_FALSE((*log)->Flush().ok());  // a dead flusher refuses durability
-  (*log)->Stop();
-
-  auto reader = TelemetryReader::Open(dir());
-  ASSERT_TRUE(reader.ok());
-  EXPECT_TRUE(reader->report().truncated);  // the torn half-frame
-  // At least the barrier, at most the flushed prefix...
-  EXPECT_GE(reader->records().size(), s.durable);
-  EXPECT_EQ(reader->records().size(), s.flushed);
-  // ...and exactly once, in order: recovered record i is append i+1.
-  for (size_t i = 0; i < reader->records().size(); ++i) {
-    ASSERT_EQ(reader->records()[i].at_us, static_cast<int64_t>(i + 1));
-  }
-
-  // The injected crash is on the fault log's record, attributed to the
-  // blackbox point.
-  bool seen = false;
-  for (const auto& ev : fault::FaultLog::Default().Snapshot()) {
-    if (std::string(ev.point) == "obs.blackbox.write") seen = true;
-  }
-  EXPECT_TRUE(seen);
-}
-
-INSTANTIATE_TEST_SUITE_P(ChaosSeeds, BlackboxCrashTest,
-                         ::testing::Values(17u, 23u, 42u));
 
 TEST_F(BlackboxTest, InstalledSinkCapturesBusFaultAndProfileTaps) {
   TelemetryLogOptions o = ManualOptions();

@@ -1,0 +1,565 @@
+// One recovery suite over both segment-log codecs: the WAL's page images
+// and the black box's telemetry records. Everything the shared segment
+// log owns — framing, the torn-tail rule, reopen repair, numeric segment
+// order, fsyncgate and the crash act-out — is checked once here, for
+// each codec, through that codec's own writer and reader.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "fault/injector.h"
+#include "fault/log.h"
+#include "fault/segment_log.h"
+#include "obs/blackbox/format.h"
+#include "obs/blackbox/log.h"
+#include "obs/blackbox/reader.h"
+#include "storage/wal.h"
+
+namespace dbm {
+namespace {
+
+namespace fs = std::filesystem;
+
+/// One codec's writer and reader behind the calls the suite makes.
+/// Record `id` is the id-th record appended: a page image of page `id`
+/// for the WAL, a decision stamped at_us = id for the black box.
+class LogCodec {
+ public:
+  virtual ~LogCodec() = default;
+  virtual const fault::SegmentFormat& format() const = 0;
+  virtual const char* fault_point() const = 0;
+  virtual std::string EncodeFrame(uint64_t id) const = 0;
+  /// Decodes the frame at data[0..n) back to its record id.
+  virtual bool DecodeFrame(const uint8_t* data, size_t n, uint64_t* id,
+                           size_t* frame_bytes) const = 0;
+  /// Opens the writer over `dir`, `segment_frames` frames to a segment.
+  /// A nonzero `fsync_every_frames` selects the byte-interval fsync
+  /// policy at that many frames; zero keeps the codec's default policy.
+  virtual Status Open(const std::string& dir, size_t segment_frames,
+                      size_t fsync_every_frames) = 0;
+  /// Appends record `id` and hands it to the OS; fails once dead.
+  virtual Status Append(uint64_t id) = 0;
+  virtual Status Flush() = 0;
+  virtual void Close() = 0;
+  virtual uint64_t flushed() const = 0;
+  virtual uint64_t durable() const = 0;
+  virtual bool dead() const = 0;
+  virtual std::vector<std::string> SegmentPaths() const = 0;
+  /// Reads `dir` back through the codec's own reader.
+  virtual Status ReadBack(const std::string& dir, std::vector<uint64_t>* ids,
+                          fault::SegmentScanReport* report) const = 0;
+
+  size_t frame_bytes() const { return EncodeFrame(1).size(); }
+  size_t SegmentBytes(size_t frames) const {
+    return fault::kSegmentHeaderBytes + frames * frame_bytes();
+  }
+};
+
+class WalCodec : public LogCodec {
+ public:
+  const fault::SegmentFormat& format() const override {
+    return storage::kWalFormat;
+  }
+  const char* fault_point() const override { return "storage.wal.append"; }
+  std::string EncodeFrame(uint64_t id) const override {
+    storage::WalRecord rec;
+    rec.lsn = id;
+    rec.page = static_cast<storage::PageId>(id);
+    rec.image.assign(storage::kPageSize, static_cast<uint8_t>(id));
+    std::string out;
+    storage::EncodeWalFrame(rec, &out);
+    return out;
+  }
+  bool DecodeFrame(const uint8_t* data, size_t n, uint64_t* id,
+                   size_t* frame_bytes) const override {
+    storage::WalRecord rec;
+    if (!storage::DecodeWalFrame(data, n, &rec, frame_bytes)) return false;
+    *id = rec.page;
+    return true;
+  }
+  Status Open(const std::string& dir, size_t segment_frames,
+              size_t fsync_every_frames) override {
+    storage::WalOptions options;
+    options.dir = dir;
+    options.segment_bytes = SegmentBytes(segment_frames);
+    if (fsync_every_frames > 0) {
+      options.fsync = storage::WalFsyncPolicy::kInterval;
+      options.fsync_interval_bytes = fsync_every_frames * frame_bytes();
+    }
+    DBM_ASSIGN_OR_RETURN(wal_, storage::Wal::Open(options));
+    return Status::OK();
+  }
+  Status Append(uint64_t id) override {
+    storage::Page page;
+    page.bytes.fill(static_cast<uint8_t>(id));
+    return wal_->AppendPageImage(static_cast<storage::PageId>(id), page)
+        .status();
+  }
+  Status Flush() override { return wal_->Flush(); }
+  void Close() override { wal_.reset(); }
+  uint64_t flushed() const override { return wal_->stats().flushed_lsn; }
+  uint64_t durable() const override { return wal_->durable_lsn(); }
+  bool dead() const override { return wal_->stats().dead; }
+  std::vector<std::string> SegmentPaths() const override {
+    return wal_->SegmentPaths();
+  }
+  Status ReadBack(const std::string& dir, std::vector<uint64_t>* ids,
+                  fault::SegmentScanReport* report) const override {
+    storage::WalScanReport wal_report;
+    DBM_RETURN_NOT_OK(storage::ScanWal(
+        dir,
+        [ids](const storage::WalRecord& rec, const std::string&) {
+          ids->push_back(rec.page);
+          return true;
+        },
+        &wal_report));
+    *report = wal_report;
+    return Status::OK();
+  }
+
+ private:
+  std::unique_ptr<storage::Wal> wal_;
+};
+
+class TelemetryCodec : public LogCodec {
+ public:
+  const fault::SegmentFormat& format() const override {
+    return obs::blackbox::kTelemetryFormat;
+  }
+  const char* fault_point() const override { return "obs.blackbox.write"; }
+  std::string EncodeFrame(uint64_t id) const override {
+    std::string out;
+    obs::blackbox::EncodeFrame(Record(id), &out);
+    return out;
+  }
+  bool DecodeFrame(const uint8_t* data, size_t n, uint64_t* id,
+                   size_t* frame_bytes) const override {
+    obs::blackbox::TelemetryRecord rec;
+    if (!obs::blackbox::DecodeFrame(data, n, &rec, frame_bytes)) return false;
+    *id = static_cast<uint64_t>(rec.at_us);
+    return true;
+  }
+  Status Open(const std::string& dir, size_t segment_frames,
+              size_t fsync_every_frames) override {
+    obs::blackbox::TelemetryLogOptions options;
+    options.dir = dir;
+    options.segment_bytes = SegmentBytes(segment_frames);
+    options.max_segments = 1 << 20;  // the suite reads whole histories back
+    options.start_flusher = false;
+    if (fsync_every_frames > 0) {
+      options.fsync = obs::blackbox::FsyncPolicy::kInterval;
+      options.fsync_interval_bytes = fsync_every_frames * frame_bytes();
+    }
+    DBM_ASSIGN_OR_RETURN(log_, obs::blackbox::TelemetryLog::Open(options));
+    return Status::OK();
+  }
+  Status Append(uint64_t id) override {
+    log_->Append(Record(id));
+    log_->Poll();
+    return dead() ? Status::Unavailable("the black box is dead")
+                  : Status::OK();
+  }
+  Status Flush() override { return log_->Flush(); }
+  void Close() override { log_.reset(); }
+  uint64_t flushed() const override { return log_->stats().flushed; }
+  uint64_t durable() const override { return log_->stats().durable; }
+  bool dead() const override { return log_->stats().dead; }
+  std::vector<std::string> SegmentPaths() const override {
+    return log_->SegmentPaths();
+  }
+  Status ReadBack(const std::string& dir, std::vector<uint64_t>* ids,
+                  fault::SegmentScanReport* report) const override {
+    DBM_ASSIGN_OR_RETURN(obs::blackbox::TelemetryReader reader,
+                         obs::blackbox::TelemetryReader::Open(dir));
+    for (const obs::blackbox::TelemetryRecord& rec : reader.records()) {
+      ids->push_back(static_cast<uint64_t>(rec.at_us));
+    }
+    *report = reader.report();
+    return Status::OK();
+  }
+
+ private:
+  static obs::blackbox::TelemetryRecord Record(uint64_t id) {
+    obs::blackbox::TelemetryRecord rec;
+    rec.kind = static_cast<uint8_t>(obs::blackbox::RecordKind::kDecision);
+    rec.at_us = static_cast<int64_t>(id);
+    rec.SetName("unit.test");
+    return rec;
+  }
+
+  std::unique_ptr<obs::blackbox::TelemetryLog> log_;
+};
+
+enum class Codec { kWal, kTelemetry };
+
+const char* CodecName(Codec codec) {
+  return codec == Codec::kWal ? "Wal" : "Telemetry";
+}
+
+// Lets gtest (and the test names ctest derives from it) print the codec.
+void PrintTo(Codec codec, std::ostream* os) { *os << CodecName(codec); }
+
+std::vector<uint64_t> Ids(uint64_t first, uint64_t last) {
+  std::vector<uint64_t> out;
+  for (uint64_t id = first; id <= last; ++id) out.push_back(id);
+  return out;
+}
+
+// Every test starts from a clean injector: the chaos CI arms both
+// codecs' crash points process-wide, and only the crash tests want them
+// live (they arm them themselves, per seed).
+class LogFixture : public ::testing::Test {
+ protected:
+  virtual Codec codec_kind() const = 0;
+
+  void SetUp() override {
+    ASSERT_TRUE(fault::Injector::Default().Configure("", 0).ok());
+    codec_ = codec_kind() == Codec::kWal
+                 ? std::unique_ptr<LogCodec>(std::make_unique<WalCodec>())
+                 : std::make_unique<TelemetryCodec>();
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(info->test_suite_name()) + "_" +
+                       info->name() + "_" + CodecName(codec_kind());
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = (fs::temp_directory_path() / ("segment_log_test_" + name)).string();
+    fs::remove_all(dir_);
+  }
+  void TearDown() override {
+    codec_.reset();  // close the log before its directory goes
+    fault::Injector::Default().Reset();
+    fs::remove_all(dir_);
+  }
+
+  /// Opens the log, appends records first..last, notes its live segments
+  /// in segments_ and closes it.
+  void Write(uint64_t first, uint64_t last, size_t segment_frames = 64) {
+    ASSERT_TRUE(codec_->Open(dir_, segment_frames, 0).ok());
+    for (uint64_t id = first; id <= last; ++id) {
+      ASSERT_TRUE(codec_->Append(id).ok()) << "record " << id;
+    }
+    segments_ = codec_->SegmentPaths();
+    codec_->Close();
+  }
+
+  std::vector<uint64_t> ReadBack(fault::SegmentScanReport* report) {
+    std::vector<uint64_t> ids;
+    Status read = codec_->ReadBack(dir_, &ids, report);
+    EXPECT_TRUE(read.ok()) << read.ToString();
+    return ids;
+  }
+
+  /// Decodes `frame` whole, returning false when the codec rejects it.
+  bool Decode(const std::string& frame, uint64_t* id, size_t* frame_bytes) {
+    return codec_->DecodeFrame(reinterpret_cast<const uint8_t*>(frame.data()),
+                               frame.size(), id, frame_bytes);
+  }
+
+  static void FlipByte(const std::string& path, size_t offset) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    char b = 0;
+    f.seekg(static_cast<std::streamoff>(offset));
+    f.read(&b, 1);
+    b = static_cast<char>(b ^ 0x10);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(&b, 1);
+  }
+
+  static void AppendBytes(const std::string& path, const std::string& bytes) {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  size_t FilesInDir() const {
+    size_t n = 0;
+    for (const auto& e [[maybe_unused]] : fs::directory_iterator(dir_)) ++n;
+    return n;
+  }
+
+  std::unique_ptr<LogCodec> codec_;
+  std::string dir_;
+  std::vector<std::string> segments_;  // live segments at the last Write
+};
+
+class SegmentLogTest : public LogFixture,
+                       public ::testing::WithParamInterface<Codec> {
+ protected:
+  Codec codec_kind() const override { return GetParam(); }
+};
+
+// ---------------------------------------------------------------------
+// Frame fuzz
+// ---------------------------------------------------------------------
+
+TEST_P(SegmentLogTest, FrameFuzzEveryTruncationRejected) {
+  const std::string frame = codec_->EncodeFrame(7);
+  uint64_t id = 0;
+  size_t frame_bytes = 0;
+  ASSERT_TRUE(Decode(frame, &id, &frame_bytes));
+  EXPECT_EQ(id, 7u);
+  EXPECT_EQ(frame_bytes, frame.size());
+  for (size_t n = 0; n < frame.size(); ++n) {
+    EXPECT_FALSE(Decode(frame.substr(0, n), &id, &frame_bytes))
+        << "truncation to " << n << " bytes decoded";
+  }
+}
+
+TEST_P(SegmentLogTest, FrameFuzzEveryBitFlipRejected) {
+  std::string frame = codec_->EncodeFrame(7);
+  uint64_t id = 0;
+  size_t frame_bytes = 0;
+  for (size_t i = 0; i < frame.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      const char mask = static_cast<char>(1 << bit);
+      frame[i] = static_cast<char>(frame[i] ^ mask);
+      // A flip in the length field may run the frame past the buffer; a
+      // flip anywhere else fails the CRC. Either way: rejected.
+      EXPECT_FALSE(Decode(frame, &id, &frame_bytes))
+          << "flip at byte " << i << " bit " << bit << " decoded";
+      frame[i] = static_cast<char>(frame[i] ^ mask);
+    }
+  }
+}
+
+TEST_P(SegmentLogTest, FrameFuzzTrailingGarbageLeftForNextFrame) {
+  const std::string frame = codec_->EncodeFrame(7);
+  uint64_t id = 0;
+  size_t frame_bytes = 0;
+  ASSERT_TRUE(Decode(frame + "garbage after the frame", &id, &frame_bytes));
+  EXPECT_EQ(frame_bytes, frame.size());  // the garbage is the next (torn) frame
+}
+
+TEST_P(SegmentLogTest, FrameFuzzAbsurdLengthRejected) {
+  const size_t max_payload = codec_->format().max_payload;
+  uint64_t id = 0;
+  size_t frame_bytes = 0;
+  // Past the buffer, and past the format's bound inside a buffer big
+  // enough to hold it: both are corruption, never a record.
+  for (uint64_t len : {uint64_t{0xffffffff}, uint64_t{max_payload + 1}}) {
+    std::string absurd = codec_->EncodeFrame(7);
+    for (size_t i = 0; i < 4; ++i) {
+      absurd[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    }
+    absurd.resize(fault::kFrameHeaderBytes + max_payload + 1);
+    EXPECT_FALSE(Decode(absurd, &id, &frame_bytes)) << "length " << len;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Torn tails and reopen repair
+// ---------------------------------------------------------------------
+
+TEST_P(SegmentLogTest, TornTailTruncatesAndReopenRepairs) {
+  Write(1, 20);
+  ASSERT_FALSE(segments_.empty());
+  const std::string last = segments_.back();
+  const uint64_t clean_size = fs::file_size(last);
+  // Half a frame at the tail, as a crash mid-append leaves it.
+  AppendBytes(last,
+              codec_->EncodeFrame(21).substr(0, codec_->frame_bytes() / 2));
+
+  fault::SegmentScanReport report;
+  EXPECT_EQ(ReadBack(&report), Ids(1, 20));  // the prefix, exactly
+  EXPECT_TRUE(report.truncated);
+  EXPECT_EQ(report.truncated_segment, last);
+  EXPECT_GT(report.torn_tail_bytes, 0u);
+
+  // Reopen: the torn tail is physically gone, and new records follow the
+  // old trusted prefix in order.
+  Write(21, 25);
+  EXPECT_EQ(fs::file_size(last), clean_size);
+  EXPECT_EQ(ReadBack(&report), Ids(1, 25));
+  EXPECT_FALSE(report.truncated);
+}
+
+TEST_P(SegmentLogTest, MidHistoryCorruptionStopsScanAndReopenRepairs) {
+  Write(1, 9, /*segment_frames=*/3);
+  ASSERT_EQ(segments_.size(), 3u);
+  const std::vector<std::string> before = segments_;
+  // Flip one byte inside the first segment's second frame: the later
+  // frames of that segment AND every later segment are untrusted.
+  FlipByte(before[0],
+           fault::kSegmentHeaderBytes + codec_->frame_bytes() * 3 / 2);
+
+  fault::SegmentScanReport report;
+  EXPECT_EQ(ReadBack(&report), Ids(1, 1));
+  EXPECT_TRUE(report.truncated);
+  EXPECT_EQ(report.truncated_segment, before[0]);
+  EXPECT_EQ(report.segments_scanned, 1u);
+  EXPECT_GT(report.torn_tail_bytes, fs::file_size(before[2]));
+
+  // Reopen cuts the first segment back to its trusted frame, unlinks the
+  // later ones and appends after the survivor.
+  Write(10, 11, 3);
+  EXPECT_FALSE(fs::exists(before[2]));
+  EXPECT_EQ(FilesInDir(), 2u);
+  EXPECT_EQ(ReadBack(&report), (std::vector<uint64_t>{1, 10, 11}));
+  EXPECT_FALSE(report.truncated);
+}
+
+TEST_P(SegmentLogTest, HeaderTearUnlinksEveryLaterSegmentOnReopen) {
+  Write(1, 9, /*segment_frames=*/3);
+  ASSERT_EQ(segments_.size(), 3u);
+  // Smash the first segment's magic. The tear is at offset 0, so reopen
+  // unlinks that segment outright — and must still unlink the later
+  // ones, or a later scan would resurrect the discarded history.
+  FlipByte(segments_.front(), 0);
+
+  fault::SegmentScanReport report;
+  EXPECT_TRUE(ReadBack(&report).empty());
+  EXPECT_TRUE(report.truncated);
+  EXPECT_EQ(report.truncated_offset, 0u);
+
+  Write(10, 10, 3);
+  EXPECT_EQ(FilesInDir(), 1u);
+  EXPECT_EQ(ReadBack(&report), Ids(10, 10));
+  EXPECT_FALSE(report.truncated);
+}
+
+TEST_P(SegmentLogTest, ReopenWithoutAppendsReusesTheEmptySegment) {
+  Write(1, 3);
+  // Each reopen that appends nothing leaves one header-only segment
+  // behind; the next reopen takes it over instead of adding another.
+  for (int i = 0; i < 3; ++i) Write(4, 3);
+  EXPECT_EQ(FilesInDir(), 2u);
+  Write(4, 5);
+  EXPECT_EQ(FilesInDir(), 2u);
+  fault::SegmentScanReport report;
+  EXPECT_EQ(ReadBack(&report), Ids(1, 5));
+  EXPECT_FALSE(report.truncated);
+}
+
+TEST_P(SegmentLogTest, SegmentOrderIsNumericPastSixDigits) {
+  // Hand-craft two adjacent segments around the six-digit rollover.
+  // Lexicographic order would visit "x-1000000.seg" before
+  // "x-999999.seg": the WAL would read the LSN drop as a torn tail, the
+  // black box would replay the newer records first.
+  fs::create_directories(dir_);
+  for (uint64_t seq : {999999u, 1000000u}) {
+    std::string bytes;
+    fault::EncodeSegmentHeader(codec_->format(), &bytes);
+    bytes += codec_->EncodeFrame(seq - 999998);
+    std::ofstream f(fs::path(dir_) /
+                        fault::SegmentFileName(codec_->format(), seq),
+                    std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  fault::SegmentScanReport report;
+  EXPECT_EQ(ReadBack(&report), Ids(1, 2));
+  EXPECT_FALSE(report.truncated);
+
+  // Reopen numbers the next segment after both instead of overwriting.
+  Write(3, 3);
+  EXPECT_EQ(ReadBack(&report), Ids(1, 3));
+  EXPECT_FALSE(report.truncated);
+}
+
+// ---------------------------------------------------------------------
+// fsyncgate
+// ---------------------------------------------------------------------
+
+TEST_P(SegmentLogTest, FailedFsyncKillsLogAndHoldsBarrier) {
+  ASSERT_TRUE(codec_->Open(dir_, /*segment_frames=*/2, 0).ok());
+  // The next segment name is a symlink to /dev/null: opening it through
+  // the link succeeds and fsync on it fails (EINVAL) — a disk that
+  // refuses durability on demand.
+  fs::create_symlink("/dev/null",
+                     fs::path(dir_) /
+                         fault::SegmentFileName(codec_->format(), 2));
+  for (uint64_t id = 1; id <= 3; ++id) ASSERT_TRUE(codec_->Append(id).ok());
+  ASSERT_EQ(codec_->SegmentPaths().size(), 2u);  // rotated onto the link
+
+  const uint64_t barrier = codec_->durable();
+  Status flushed = codec_->Flush();
+  EXPECT_TRUE(flushed.IsIoError()) << flushed.ToString();
+  EXPECT_TRUE(codec_->dead());
+  EXPECT_EQ(codec_->durable(), barrier);  // the barrier does not advance
+  // Dead stays dead: no retried fsync, no further appends.
+  EXPECT_FALSE(codec_->Flush().ok());
+  EXPECT_FALSE(codec_->Append(4).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Codecs, SegmentLogTest,
+                         ::testing::Values(Codec::kWal, Codec::kTelemetry));
+
+// ---------------------------------------------------------------------
+// Crash mid-append under the chaos seeds
+// ---------------------------------------------------------------------
+
+class CrashFixture : public LogFixture,
+                     public ::testing::WithParamInterface<uint64_t> {
+ protected:
+  /// Arms the codec's crash point at 1% under the seed, appends until
+  /// the log dies, recovers, and requires exactly-once prefix semantics:
+  /// recovered record i is append i+1, the count is exactly the flushed
+  /// count and at least the fsync barrier, nothing torn or duplicated.
+  void CrashMidAppendRecoversExactPrefix() {
+    const uint64_t seed = GetParam();
+    ASSERT_TRUE(fault::Injector::Default()
+                    .Configure(std::string(codec_->fault_point()) +
+                                   ":crash@0.01",
+                               seed)
+                    .ok());
+    ASSERT_TRUE(codec_->Open(dir_, /*segment_frames=*/64,
+                             /*fsync_every_frames=*/16)
+                    .ok());
+    uint64_t next = 1;
+    while (next <= 20000 && codec_->Append(next).ok()) ++next;
+    ASSERT_TRUE(codec_->dead())
+        << "seed " << seed << ": the 1% crash point never fired in "
+        << next - 1 << " appends";
+    const uint64_t flushed = codec_->flushed();
+    const uint64_t durable = codec_->durable();
+    EXPECT_FALSE(codec_->Append(next + 1).ok());  // dead means dead
+    EXPECT_FALSE(codec_->Flush().ok());
+    codec_->Close();
+    ASSERT_TRUE(fault::Injector::Default().Configure("", 0).ok());
+
+    fault::SegmentScanReport report;
+    const std::vector<uint64_t> ids = ReadBack(&report);
+    EXPECT_TRUE(report.truncated);  // the torn half-frame
+    EXPECT_GT(report.torn_tail_bytes, 0u);
+    EXPECT_GE(ids.size(), durable);
+    EXPECT_EQ(ids, Ids(1, flushed));
+
+    // The injected crash is on the fault log's record, attributed to the
+    // codec's point.
+    bool seen = false;
+    for (const fault::FaultEvent& ev : fault::FaultLog::Default().Snapshot()) {
+      if (std::string(ev.point) == codec_->fault_point()) seen = true;
+    }
+    EXPECT_TRUE(seen);
+  }
+};
+
+class WalCrashTest : public CrashFixture {
+ protected:
+  Codec codec_kind() const override { return Codec::kWal; }
+};
+
+class BlackboxCrashTest : public CrashFixture {
+ protected:
+  Codec codec_kind() const override { return Codec::kTelemetry; }
+};
+
+TEST_P(WalCrashTest, CrashMidAppendRecoversExactPrefix) {
+  CrashMidAppendRecoversExactPrefix();
+}
+
+TEST_P(BlackboxCrashTest, CrashMidAppendRecoversExactPrefix) {
+  CrashMidAppendRecoversExactPrefix();
+}
+
+INSTANTIATE_TEST_SUITE_P(ChaosSeeds, WalCrashTest,
+                         ::testing::Values(17u, 23u, 42u));
+INSTANTIATE_TEST_SUITE_P(ChaosSeeds, BlackboxCrashTest,
+                         ::testing::Values(17u, 23u, 42u));
+
+}  // namespace
+}  // namespace dbm

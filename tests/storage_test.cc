@@ -119,16 +119,18 @@ TEST(BufferManagerTest, LruEvictsLeastRecentlyUsed) {
 
 // Property: under a random workload, buffer-managed page contents always
 // match a shadow model, and invariants hold throughout — with every
-// replacement policy.
+// replacement policy. The policy is a std::string, not a const char*, so
+// the printed parameter (and the test name ctest derives from it) is the
+// name itself rather than the literal's address.
 class BufferPropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(BufferPropertyTest, MatchesShadowModel) {
   auto [policy_name, seed] = GetParam();
   std::shared_ptr<ReplacementPolicy> policy;
-  if (std::string(policy_name) == "lru") {
+  if (policy_name == "lru") {
     policy = std::make_shared<LruPolicy>();
-  } else if (std::string(policy_name) == "clock") {
+  } else if (policy_name == "clock") {
     policy = std::make_shared<ClockPolicy>();
   } else {
     policy = std::make_shared<FifoPolicy>();

@@ -93,7 +93,7 @@ void RenderJson(const Args& args, const TelemetryReader& reader,
   std::string out = "{\"dir\":\"" + dbm::JsonEscape(args.dir) + "\"";
   out += ",\"at_us\":" + std::to_string(at_us);
   out += ",\"recovery\":{\"segments\":" + std::to_string(rep.segments_scanned);
-  out += ",\"records\":" + std::to_string(rep.records);
+  out += ",\"records\":" + std::to_string(rep.frames);
   out += ",\"bytes\":" + std::to_string(rep.bytes_scanned);
   out += std::string(",\"truncated\":") + (rep.truncated ? "true" : "false");
   if (rep.truncated) {
@@ -137,9 +137,9 @@ void RenderText(const Args& args, const TelemetryReader& reader,
                 int64_t at_us) {
   const RecoveryReport& rep = reader.report();
   std::printf("black box: %s\n", args.dir.c_str());
-  std::printf("  recovered %" PRIu64 " records from %zu segment(s), %" PRIu64
-              " bytes scanned\n",
-              rep.records, rep.segments_scanned, rep.bytes_scanned);
+  std::printf("  recovered %" PRIu64 " records from %" PRIu64
+              " segment(s), %" PRIu64 " bytes scanned\n",
+              rep.frames, rep.segments_scanned, rep.bytes_scanned);
   if (rep.truncated) {
     std::printf("  TORN TAIL: truncated at %s +%" PRIu64
                 " (everything before it survives)\n",
