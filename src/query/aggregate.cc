@@ -96,11 +96,14 @@ Status GroupAccumulator::FoldRow(const Tuple& tuple, Tuple* movable) {
   if (idx == 0) {
     Group group;
     group.key.values.reserve(group_by_.size());
-    for (size_t g : group_by_) {
-      if (movable != nullptr) {
-        group.key.values.push_back(std::move(movable->values[g]));
+    for (auto it = group_by_.begin(); it != group_by_.end(); ++it) {
+      // A column the GROUP BY lists again later is copied, so only its
+      // last use may steal the value.
+      if (movable != nullptr &&
+          std::find(it + 1, group_by_.end(), *it) == group_by_.end()) {
+        group.key.values.push_back(std::move(movable->values[*it]));
       } else {
-        group.key.values.push_back(tuple.at(g));
+        group.key.values.push_back(tuple.at(*it));
       }
     }
     group.st = MakeState();

@@ -223,7 +223,7 @@ Status TestBatch(const Expr& e, const BatchView& v, const uint32_t* sel,
       // Short-circuit: the right side runs only on rows the left side
       // left undecided (left-true for AND, left-false for OR) — a row
       // the left side decided must never evaluate (or error on) the
-      // right side, exactly like the row engine.
+      // right side, exactly like Expr::Test.
       uint32_t* subpos = scratch->AllocateArray<uint32_t>(n);
       uint32_t* subidx = scratch->AllocateArray<uint32_t>(n);
       size_t m = 0;
@@ -417,6 +417,7 @@ void BatchAggTable::Init(const std::vector<size_t>* group_by,
   maxs_.Init(state);
   counts_.Init(state);
   hashes_.Init(state);
+  key_ = state->AllocateArray<Cell>(group_by->size());
   slots_ = nullptr;
   nslots_ = 0;
   ngroups_ = 0;
@@ -475,15 +476,14 @@ uint32_t BatchAggTable::FindOrInsert(const Cell* key, uint64_t h) {
 void BatchAggTable::Fold(const BatchView& v, const uint32_t* sel, size_t n) {
   size_t nk = group_by_->size();
   size_t na = aggs_->size();
-  Cell key[16];  // schema arity bound checked by the engine's routing
   for (size_t i = 0; i < n; ++i) {
     uint32_t pos = PosOf(sel, i);
     uint64_t h = 14695981039346656037ULL;
     for (size_t k = 0; k < nk; ++k) {
-      key[k] = v.Get((*group_by_)[k], pos);
-      h = data::HashCombine(h, HashCell(key[k]));
+      key_[k] = v.Get((*group_by_)[k], pos);
+      h = data::HashCombine(h, HashCell(key_[k]));
     }
-    uint32_t g = FindOrInsert(key, h);
+    uint32_t g = FindOrInsert(key_, h);
     for (size_t a = 0; a < na; ++a) {
       const AggSpec& spec = (*aggs_)[a];
       size_t slot = g * na + a;

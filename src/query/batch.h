@@ -1,11 +1,12 @@
-// Columnar batch execution: the vectorized layer under the morsel engine.
+// Columnar batch execution: the vectorized kernels of the parallel engine.
 //
 // The paper's claim is that a database machine on commodity parts wins by
 // running "as fast as the hardware allows"; TabulaROSA frames tabular
 // operators as the massively-parallel primitive. Row-at-a-time Volcano
 // iteration is the opposite of that — one virtual call and one
-// variant-of-string Tuple copy per row per operator. This layer replaces
-// the parallel engine's hot path with batch-at-a-time kernels:
+// variant-of-string Tuple copy per row per operator. ExecuteParallel
+// (query/parallel.h) runs every plan, at every dop, on batch-at-a-time
+// kernels instead:
 //
 //   ColumnBatch   ~1024 rows of a morsel as typed contiguous columns
 //                 (int64 / double / string-ref) plus per-row type tags,
@@ -22,16 +23,16 @@
 // Everything transient lives in per-worker slab arenas (common/arena.h):
 // scratch resets every morsel, state every query, both retain their
 // chunks — so the steady-state morsel body performs zero operator-new
-// calls (asserted by bench_vectorized via the counting-allocator hook).
+// calls (asserted by bench_parallel_exec via the counting-allocator hook).
 //
-// Semantics are pinned to the row engine cell-for-cell: CompareValues /
-// HashValue equivalences (ints hash through their double image, null
-// keys match null keys in joins), Expr null propagation, And/Or
-// short-circuit (the right side is only evaluated for rows the left side
-// did not decide — a division-by-zero on a short-circuited row must NOT
-// error), and the exact error strings. The equivalence suite
-// (tests/batch_test.cc) holds batch and row results order-normalised
-// identical at dop 1/2/4/8.
+// Semantics are pinned cell-for-cell to the serial operators the
+// reference executor runs: CompareValues / HashValue equivalences (ints
+// hash through their double image, null keys match null keys in joins),
+// Expr null propagation, And/Or short-circuit (the right side is only
+// evaluated for rows the left side did not decide — a division-by-zero
+// on a short-circuited row must NOT error), and the exact error strings.
+// The equivalence suite (tests/batch_test.cc) holds the batch results
+// order-normalised identical to the serial executor's at dop 1/2/4/8.
 
 #ifndef DBM_QUERY_BATCH_H_
 #define DBM_QUERY_BATCH_H_
@@ -52,7 +53,8 @@ namespace dbm::query {
 /// Target batch width: one default in-memory morsel.
 constexpr size_t kBatchRows = 1024;
 
-/// Join-table partitions (matches the row engine's fan-out).
+/// Join-table partitions. Each worker's collector fills all of them; the
+/// merge hands each partition to exactly one worker.
 constexpr size_t kBatchPartitions = 16;
 
 /// One untyped cell: the tag says which payload is live. Trivially
@@ -171,7 +173,7 @@ Status EvalBatch(const Expr& e, const BatchView& v, const uint32_t* sel,
 
 /// Expr::Test over a batch: out[i] = 1 where the predicate passes.
 /// And/Or evaluate the right child only on the rows the left child left
-/// undecided — exactly the row engine's short-circuit.
+/// undecided — exactly Expr::Test's short-circuit.
 Status TestBatch(const Expr& e, const BatchView& v, const uint32_t* sel,
                  size_t n, uint8_t* out, Arena* scratch);
 
@@ -260,10 +262,10 @@ void MergePartition(const BuildCollector* collectors, size_t n, size_t p,
                     Arena* arena, BatchStagePart* out);
 
 /// Per-worker open-addressed grouped-aggregation table over arena
-/// storage. Folds shaped batch spans; exports its partial groups into a
-/// GroupAccumulator (GroupAccumulator::FoldPartial) so the cross-worker
-/// merge and the deterministic output ordering stay byte-identical to
-/// the row engine's.
+/// storage, for any GROUP BY arity. Folds shaped batch spans; exports its
+/// partial groups, in insertion order, into one GroupAccumulator
+/// (GroupAccumulator::FoldPartial), whose Finish() gives the serial
+/// HashAggregate's deterministic output order.
 class BatchAggTable {
  public:
   void Init(const std::vector<size_t>* group_by,
@@ -289,6 +291,7 @@ class BatchAggTable {
   ArenaVec<double> sums_, mins_, maxs_;
   ArenaVec<uint64_t> counts_;
   ArenaVec<uint64_t> hashes_;  // per group, for cheap rehash/probe
+  Cell* key_ = nullptr;        // Fold's probe key, one cell per GROUP BY key
   uint32_t* slots_ = nullptr;  // 1-based group ids, 0 = empty
   size_t nslots_ = 0;
   size_t ngroups_ = 0;

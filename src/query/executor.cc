@@ -111,9 +111,6 @@ Result<ExecStats> Execute(Operator* root, std::vector<Tuple>* out,
   stats.started_at = options.start_time;
   SimTime now = options.start_time;
   DBM_RETURN_NOT_OK(root->Open());
-  if (out != nullptr && options.reserve_rows > 0) {
-    out->reserve(out->size() + options.reserve_rows);
-  }
   uint64_t pulls = 0;
   while (true) {
     DBM_ASSIGN_OR_RETURN(Step step, root->Next(now));

@@ -47,10 +47,6 @@ struct ExecOptions {
   /// Callback at each safe point; returning false aborts execution.
   std::function<bool(const ExecStats&)> on_safe_point;
   SimTime start_time = 0;
-  /// Expected output cardinality; when non-zero the executor reserves
-  /// the output vector once up front instead of growing it geometrically
-  /// through the pull loop.
-  size_t reserve_rows = 0;
   /// EXPLAIN ANALYZE: when set, the executor fills it with the run's
   /// annotated operator tree (rows/cycles per operator from
   /// OperatorStats, allocation and host-time deltas at run granularity)

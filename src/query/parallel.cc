@@ -1,13 +1,10 @@
 #include "query/parallel.h"
 
 #include <algorithm>
-#include <array>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
-#include "data/value.h"
 #include "fault/injector.h"
 #include "fault/log.h"
 #include "obs/alloc_hook.h"
@@ -21,16 +18,7 @@
 
 namespace dbm::query {
 
-using data::CompareValues;
-using data::HashValue;
-
 namespace {
-
-/// Build-side hash partitions per stage. Each worker fills private
-/// buckets during the scan; the merge assigns each partition to exactly
-/// one worker, so the merged multimaps are written single-threaded and
-/// read-only at probe time.
-constexpr size_t kPartitions = 16;
 
 struct ParObs {
   obs::Gauge& dop;
@@ -98,46 +86,6 @@ size_t ScanUnits(const ParallelScan& scan, const ParallelOptions& options,
   *units_per_morsel = options.morsel_rows;
   return scan.mem->rows().size();
 }
-
-/// Feeds every tuple of `morsel` (post scan-filter) to `fn`. `raw`, when
-/// non-null, counts rows read before the scan filter (profiling).
-template <typename Fn>
-Status ScanMorsel(const ParallelScan& scan, const Morsel& morsel, Fn&& fn,
-                  uint64_t* raw = nullptr) {
-  if (scan.paged != nullptr) {
-    for (size_t page = morsel.begin; page < morsel.end; ++page) {
-      for (uint16_t slot = 0;; ++slot) {
-        DBM_ASSIGN_OR_RETURN(std::optional<Tuple> tuple,
-                             scan.paged->ReadAt(page, slot));
-        if (!tuple.has_value()) break;
-        if (raw != nullptr) ++*raw;
-        if (scan.filter != nullptr) {
-          DBM_ASSIGN_OR_RETURN(bool pass, scan.filter->Test(*tuple));
-          if (!pass) continue;
-        }
-        DBM_RETURN_NOT_OK(fn(std::move(*tuple)));
-      }
-    }
-    return Status::OK();
-  }
-  const std::vector<Tuple>& rows = scan.mem->rows();
-  if (raw != nullptr) *raw += morsel.end - morsel.begin;
-  for (size_t i = morsel.begin; i < morsel.end; ++i) {
-    if (scan.filter != nullptr) {
-      DBM_ASSIGN_OR_RETURN(bool pass, scan.filter->Test(rows[i]));
-      if (!pass) continue;
-    }
-    DBM_RETURN_NOT_OK(fn(Tuple{rows[i]}));
-  }
-  return Status::OK();
-}
-
-/// One join stage's merged hash table (partitioned by hash % kPartitions).
-struct StageTable {
-  std::array<std::unordered_multimap<uint64_t, Tuple>, kPartitions> parts;
-  size_t build_col = 0;
-  size_t probe_col = 0;
-};
 
 /// Runs `body(worker, morsel)` over the cursor on workers [0, width),
 /// honoring the park/resume target. A failing worker poisons the cursor
@@ -226,34 +174,23 @@ Result<OperatorPtr> BuildSerial(const ParallelPlan& plan) {
 Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
                                       std::vector<Tuple>* out,
                                       const ParallelOptions& options) {
-  if (plan.probe.paged == nullptr && plan.probe.mem == nullptr) {
+  // Every scan is dereferenced by the coordinator and the workers alike,
+  // so a missing input is rejected before any of them runs.
+  auto has_input = [](const ParallelScan& scan) {
+    return scan.paged != nullptr || scan.mem != nullptr;
+  };
+  if (!has_input(plan.probe)) {
     return Status::InvalidArgument("parallel plan has no probe input");
+  }
+  for (size_t s = 0; s < plan.joins.size(); ++s) {
+    if (!has_input(plan.joins[s].build)) {
+      return Status::InvalidArgument(
+          "join stage " + std::to_string(s) +
+          " build scan has neither paged nor mem input");
+    }
   }
   ParObs& par_obs = ParObs::Get();
   par_obs.queries.Add(1);
-
-  if (options.dop <= 1 && options.dop_max <= 1) {
-    // Serial fallback: the exact plan the parallel path mirrors, run by
-    // the serial executor (same operators the rest of the engine uses).
-    // The executor profiles BuildSerial's tree directly, which is the
-    // same shape the parallel path assembles — profiles compare
-    // node-for-node across dops.
-    DBM_ASSIGN_OR_RETURN(OperatorPtr root, BuildSerial(plan));
-    ExecOptions exec_options;
-    exec_options.cpu_per_tuple = options.cpu_per_tuple;
-    exec_options.profile = options.profile;
-    size_t hint_per_morsel = 0;
-    exec_options.reserve_rows = ScanUnits(plan.probe, options,
-                                          &hint_per_morsel);
-    DBM_ASSIGN_OR_RETURN(ExecStats stats, Execute(root.get(), out,
-                                                  exec_options));
-    ParallelStats pstats;
-    pstats.rows = stats.rows;
-    pstats.dop_initial = pstats.dop_final = 1;
-    par_obs.dop.Set(1);
-    par_obs.work_cycles.Add(stats.rows);
-    return pstats;
-  }
 
   WorkerPool& pool =
       options.pool != nullptr ? *options.pool : WorkerPool::Default();
@@ -269,64 +206,53 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
   pstats.dop_initial = dop;
   par_obs.dop.Set(static_cast<double>(dop));
 
-  // -------------------------------------------------------------------
-  // Engine selection. The batch engine covers the whole SPJA shape; its
-  // one hard limit is the aggregation table's stack key buffer, so very
-  // wide GROUP BYs take the row engine.
-  // -------------------------------------------------------------------
-  const bool use_batch = options.engine == ParallelEngine::kBatch &&
-                         plan.group_by.size() <= 16;
+  // Plan preparation, all coordinator-side, once per query: per-worker
+  // state arenas reset (chunks retained), columnar views resolved (so
+  // workers never touch the relation's lazy-build mutex), and the
+  // per-stage column maps precomputed. The pipeline schema after j joins
+  // is build_{j-1} ++ ... ++ build_0 ++ probe (Schema::Join prepends each
+  // build side), which colmaps[j] encodes as ColRefs.
   const size_t nstages = plan.joins.size();
-
-  // Batch-engine plan preparation, all coordinator-side, once per query:
-  // per-worker state arenas reset (chunks retained), columnar views
-  // resolved (so workers never touch the relation's lazy-build mutex),
-  // and the per-stage column maps precomputed. The pipeline schema after
-  // j joins is build_{j-1} ++ ... ++ build_0 ++ probe (Schema::Join
-  // prepends each build side), which colmaps[j] encodes as ColRefs.
-  const data::ColumnarView* probe_cv = nullptr;
+  for (size_t wid = 0; wid < dop_max; ++wid) {
+    pool.StateArena(wid).Reset();
+  }
+  const data::ColumnarView* probe_cv =
+      plan.probe.mem != nullptr ? &plan.probe.mem->Columnar() : nullptr;
   std::vector<const data::ColumnarView*> build_cv(nstages, nullptr);
   std::vector<size_t> stage_arity(nstages + 1, 0);
+  stage_arity[0] = plan.probe.schema().size();
+  for (size_t s = 0; s < nstages; ++s) {
+    const ParallelScan& build = plan.joins[s].build;
+    if (build.mem != nullptr) build_cv[s] = &build.mem->Columnar();
+    stage_arity[s + 1] = stage_arity[s] + build.schema().size();
+  }
   std::vector<std::vector<ColRef>> colmaps(nstages + 1);
-  std::vector<ColRef> proj_colmap;
-  std::vector<BatchStageTable> btables(use_batch ? nstages : 0);
-  if (use_batch) {
-    for (size_t wid = 0; wid < dop_max; ++wid) {
-      pool.StateArena(wid).Reset();
-    }
-    if (plan.probe.mem != nullptr) probe_cv = &plan.probe.mem->Columnar();
-    stage_arity[0] = plan.probe.schema().size();
-    for (size_t s = 0; s < nstages; ++s) {
-      const ParallelScan& build = plan.joins[s].build;
-      if (build.mem != nullptr) build_cv[s] = &build.mem->Columnar();
-      stage_arity[s + 1] = stage_arity[s] + build.schema().size();
-    }
-    for (size_t j = 1; j <= nstages; ++j) {
-      std::vector<ColRef>& cm = colmaps[j];
-      cm.resize(stage_arity[j]);
-      size_t off = 0;
-      for (size_t k = j; k-- > 0;) {
-        size_t build_arity = plan.joins[k].build.schema().size();
-        for (size_t c = 0; c < build_arity; ++c) {
-          cm[off++] = ColRef{ColSrc::kSeg, static_cast<uint16_t>(k),
-                             static_cast<uint32_t>(c)};
-        }
-      }
-      for (size_t c = 0; c < plan.probe.schema().size(); ++c) {
-        cm[off++] = ColRef{ColSrc::kScan, 0, static_cast<uint32_t>(c)};
+  for (size_t j = 1; j <= nstages; ++j) {
+    std::vector<ColRef>& cm = colmaps[j];
+    cm.resize(stage_arity[j]);
+    size_t off = 0;
+    for (size_t k = j; k-- > 0;) {
+      size_t build_arity = plan.joins[k].build.schema().size();
+      for (size_t c = 0; c < build_arity; ++c) {
+        cm[off++] = ColRef{ColSrc::kSeg, static_cast<uint16_t>(k),
+                           static_cast<uint32_t>(c)};
       }
     }
-    proj_colmap.resize(plan.project.size());
-    for (size_t j = 0; j < plan.project.size(); ++j) {
-      proj_colmap[j] = ColRef{ColSrc::kComputed, 0, static_cast<uint32_t>(j)};
+    for (size_t c = 0; c < plan.probe.schema().size(); ++c) {
+      cm[off++] = ColRef{ColSrc::kScan, 0, static_cast<uint32_t>(c)};
     }
   }
+  std::vector<ColRef> proj_colmap(plan.project.size());
+  for (size_t j = 0; j < plan.project.size(); ++j) {
+    proj_colmap[j] = ColRef{ColSrc::kComputed, 0, static_cast<uint32_t>(j)};
+  }
+  std::vector<BatchStageTable> btables(nstages);
 
   // -------------------------------------------------------------------
-  // Profiling state (EXPLAIN ANALYZE). All counters below are only
-  // written when a profile was requested; the unprofiled path pays one
-  // predictable branch per morsel. (The batch engine keeps its cheap
-  // row/batch tallies unconditionally — they feed query.batch.*.)
+  // Profiling state (EXPLAIN ANALYZE). The per-morsel row/batch/page
+  // tallies are kept unconditionally (they feed query.batch.* and
+  // ParallelStats); the pool and allocation baselines and the per-stage
+  // fan-out counts are only taken when a profile was requested.
   // -------------------------------------------------------------------
   const bool profiling = options.profile != nullptr;
   const uint64_t prof_host_start = profiling ? obs::NowHostNs() : 0;
@@ -347,37 +273,30 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
     std::atomic<uint64_t> rows{0};     // build rows kept (post filter)
     std::atomic<uint64_t> morsels{0};  // build morsels processed
     std::atomic<uint64_t> pages{0};    // build pages touched (paged scans)
-    std::atomic<uint64_t> batches{0};  // build batches (batch engine)
+    std::atomic<uint64_t> batches{0};  // build batches
     uint64_t allocs = 0;  // coordinator-side delta around the stage job
   };
   std::vector<StageProf> stage_prof(plan.joins.size());
 
+  /// One worker's probe-phase output and tallies; plain fields, since
+  /// each sink is only touched by its worker until the job ends.
   struct WorkerSink {
-    std::vector<Tuple> rows;
-    GroupAccumulator acc;
-    uint64_t morsels = 0;
-    uint64_t rows_out = 0;
-    // Profiling counters; each sink belongs to one worker, plain fields.
-    uint64_t raw_rows = 0;   // probe rows read, pre scan-filter
-    uint64_t scan_rows = 0;  // rows entering the pipeline (post filter)
-    uint64_t pages = 0;      // probe pages touched
-    std::vector<uint64_t> stage_out;  // rows out of each join stage
-    // Scratch for the join fan-out, reused across rows (row engine).
-    std::vector<Tuple> cur, next;
-    // Batch engine: per-worker aggregation table and tallies.
-    BatchAggTable btable;
+    std::vector<Tuple> rows;  // result rows (non-aggregating plans)
+    BatchAggTable btable;     // partial groups (aggregating plans)
+    uint64_t rows_out = 0;    // rows out of the pipeline
+    uint64_t raw_rows = 0;    // probe rows read, pre scan-filter
+    uint64_t scan_rows = 0;   // rows entering the pipeline (post filter)
+    uint64_t pages = 0;       // probe pages touched
     uint64_t batches = 0;
     uint64_t steady_allocs = 0;  // operator-new calls inside morsel bodies
+    std::vector<uint64_t> stage_out;  // rows out of each join stage
   };
   std::vector<WorkerSink> sinks(dop_max);
   const bool aggregating = !plan.aggs.empty();
   if (aggregating) {
     for (size_t wid = 0; wid < dop_max; ++wid) {
-      sinks[wid].acc = GroupAccumulator(plan.group_by, plan.aggs);
-      if (use_batch) {
-        sinks[wid].btable.Init(&plan.group_by, &plan.aggs,
-                               &pool.StateArena(wid));
-      }
+      sinks[wid].btable.Init(&plan.group_by, &plan.aggs,
+                             &pool.StateArena(wid));
     }
   }
   if (profiling) {
@@ -533,49 +452,38 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
   // initial dop (the governor engages during the longer probe phase).
   //
   // Scan and merge are one fused pool job per stage: each worker drains
-  // scan morsels into its private partitions, arrives at an in-job
-  // barrier (a merging worker reads *every* worker's partitions, so none
-  // may merge before all have finished scanning), then takes whole
-  // partitions from a second cursor. The barrier wait is declared
-  // obs::WaitState::kBarrier, so it accrues to proc.worker.barrier_ns —
-  // not to busy time, which used to inflate exec.worker-util.
+  // scan morsels into its private collector's partitions, arrives at an
+  // in-job barrier (a merging worker reads *every* worker's partitions,
+  // so none may merge before all have finished scanning), then takes
+  // whole partitions from a second cursor. Each partition is merged by
+  // exactly one worker, so the merged tables need no locks at probe time.
+  // The barrier wait is declared obs::WaitState::kBarrier, so it accrues
+  // to proc.worker.barrier_ns — not to busy time, which would inflate
+  // exec.worker-util.
   // -------------------------------------------------------------------
-  std::vector<StageTable> tables(use_batch ? 0 : plan.joins.size());
   std::atomic<uint64_t> build_rows_total{0};
-  for (size_t s = 0; s < plan.joins.size(); ++s) {
+  for (size_t s = 0; s < nstages; ++s) {
     const ParallelJoinStage& stage = plan.joins[s];
-    StageTable* table = use_batch ? nullptr : &tables[s];
-    BatchStageTable* btable = use_batch ? &btables[s] : nullptr;
-    if (use_batch) {
-      btable->ncols = stage.build.schema().size();
-      btable->key_col = stage.spec.left_col;
-      btable->probe_col = stage.spec.right_col;
-    } else {
-      table->build_col = stage.spec.left_col;
-      table->probe_col = stage.spec.right_col;
-    }
+    BatchStageTable& btable = btables[s];
+    btable.ncols = stage.build.schema().size();
+    btable.key_col = stage.spec.left_col;
+    btable.probe_col = stage.spec.right_col;
     StageProf& sprof = stage_prof[s];
 
     size_t per_morsel = 0;
     size_t units = ScanUnits(stage.build, options, &per_morsel);
     MorselCursor scan_cursor(units, per_morsel);
-    MorselCursor merge_cursor(kPartitions, 1);
+    MorselCursor merge_cursor(kBatchPartitions, 1);
 
-    using Partition = std::vector<std::pair<uint64_t, Tuple>>;
-    std::vector<std::array<Partition, kPartitions>> locals(
-        use_batch ? 0 : dop);
-    std::vector<BuildCollector> collectors(use_batch ? dop : 0);
-    if (use_batch) {
-      for (size_t wid = 0; wid < dop; ++wid) {
-        collectors[wid].Init(btable->ncols, btable->key_col,
-                             &pool.StateArena(wid));
-      }
+    std::vector<BuildCollector> collectors(dop);
+    for (size_t wid = 0; wid < dop; ++wid) {
+      collectors[wid].Init(btable.ncols, btable.key_col,
+                           &pool.StateArena(wid));
     }
 
     // Scans one build morsel into the worker's collector as a column
     // batch (load → scan filter → partitioned append).
-    auto batch_build_morsel = [&](size_t wid,
-                                  const Morsel& morsel) -> Status {
+    auto build_morsel = [&](size_t wid, const Morsel& morsel) -> Status {
       Arena& scratch = pool.ScratchArena(wid);
       scratch.Reset();
       ColumnBatch batch;
@@ -609,32 +517,6 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
       return Status::OK();
     };
 
-    auto row_build_morsel = [&](size_t wid,
-                                const Morsel& morsel) -> Status {
-      uint64_t raw = 0;
-      uint64_t rows_in_morsel = 0;
-      Status scan_status = ScanMorsel(
-          stage.build, morsel,
-          [&](Tuple tuple) -> Status {
-            uint64_t h = HashValue(tuple.at(table->build_col));
-            locals[wid][h % kPartitions].emplace_back(h, std::move(tuple));
-            ++rows_in_morsel;
-            return Status::OK();
-          },
-          profiling ? &raw : nullptr);
-      build_rows_total.fetch_add(rows_in_morsel,
-                                 std::memory_order_relaxed);
-      if (profiling) {
-        sprof.raw.fetch_add(raw, std::memory_order_relaxed);
-        sprof.rows.fetch_add(rows_in_morsel, std::memory_order_relaxed);
-        sprof.morsels.fetch_add(1, std::memory_order_relaxed);
-        if (stage.build.paged != nullptr) {
-          sprof.pages.fetch_add(morsel.size(), std::memory_order_relaxed);
-        }
-      }
-      return scan_status;
-    };
-
     std::atomic<bool> scan_failed{false};
     std::mutex barrier_mu;
     std::condition_variable barrier_cv;
@@ -647,10 +529,7 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
       Morsel morsel;
       while (scan_cursor.Next(&morsel)) {
         scan_status = fault_gate.Check();
-        if (scan_status.ok()) {
-          scan_status = use_batch ? batch_build_morsel(wid, morsel)
-                                  : row_build_morsel(wid, morsel);
-        }
+        if (scan_status.ok()) scan_status = build_morsel(wid, morsel);
         if (!scan_status.ok()) {
           // Poison so peers drain promptly — but still arrive at the
           // barrier below: the others are waiting for this worker too.
@@ -673,19 +552,8 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
       Morsel part;
       while (merge_cursor.Next(&part)) {
         for (size_t p = part.begin; p < part.end; ++p) {
-          if (use_batch) {
-            MergePartition(collectors.data(), dop, p,
-                           &pool.StateArena(wid), &btable->parts[p]);
-            continue;
-          }
-          size_t total = 0;
-          for (const auto& local : locals) total += local[p].size();
-          table->parts[p].reserve(total);
-          for (auto& local : locals) {
-            for (auto& [h, tuple] : local[p]) {
-              table->parts[p].emplace(h, std::move(tuple));
-            }
-          }
+          MergePartition(collectors.data(), dop, p, &pool.StateArena(wid),
+                         &btable.parts[p]);
         }
       }
       return Status::OK();
@@ -704,60 +572,13 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
   // -------------------------------------------------------------------
   // Probe phase: the full pipeline runs morsel-at-a-time per worker.
   // -------------------------------------------------------------------
-  auto process_row = [&](WorkerSink& sink, Tuple row) -> Status {
-    if (profiling) ++sink.scan_rows;
-    sink.cur.clear();
-    sink.cur.push_back(std::move(row));
-    for (size_t st = 0; st < tables.size(); ++st) {
-      const StageTable& table = tables[st];
-      sink.next.clear();
-      for (const Tuple& t : sink.cur) {
-        const data::Value& key = t.at(table.probe_col);
-        uint64_t h = HashValue(key);
-        const auto& part = table.parts[h % kPartitions];
-        auto [lo, hi] = part.equal_range(h);
-        for (auto it = lo; it != hi; ++it) {
-          if (CompareValues(it->second.at(table.build_col), key) == 0) {
-            sink.next.push_back(Tuple::Concat(it->second, t));
-          }
-        }
-      }
-      sink.cur.swap(sink.next);
-      if (profiling) sink.stage_out[st] += sink.cur.size();
-      if (sink.cur.empty()) return Status::OK();
-    }
-    for (Tuple& t : sink.cur) {
-      if (plan.post_filter != nullptr) {
-        DBM_ASSIGN_OR_RETURN(bool pass, plan.post_filter->Test(t));
-        if (!pass) continue;
-      }
-      Tuple shaped;
-      if (!plan.project.empty()) {
-        shaped.values.reserve(plan.project.size());
-        for (const ExprPtr& e : plan.project) {
-          DBM_ASSIGN_OR_RETURN(data::Value v, e->Eval(t));
-          shaped.values.push_back(std::move(v));
-        }
-      } else {
-        shaped = std::move(t);
-      }
-      if (aggregating) {
-        DBM_RETURN_NOT_OK(sink.acc.Fold(shaped));
-      } else {
-        sink.rows.push_back(std::move(shaped));
-      }
-      ++sink.rows_out;
-    }
-    return Status::OK();
-  };
-
-  // Batch-engine probe morsel: load the morsel as one column batch, then
-  // run the whole pipeline batch-at-a-time. Positions stay dense through
-  // the join fan-out; `pos_to_row` maps them back to scan rows and
-  // `segs[k][pos]` to the stage-k build row's cells. Everything transient
-  // comes from the worker's scratch arena (reset here, chunks retained),
-  // so the steady-state body performs zero operator-new calls on mem
-  // scans — measured per-thread into sink.steady_allocs.
+  // Each probe morsel loads as one column batch and runs the whole
+  // pipeline batch-at-a-time. Positions stay dense through the join
+  // fan-out; `pos_to_row` maps them back to scan rows and `segs[k][pos]`
+  // to the stage-k build row's cells. Everything transient comes from
+  // the worker's scratch arena (reset here, chunks retained), so the
+  // steady-state body performs zero operator-new calls on mem scans —
+  // measured per-thread into sink.steady_allocs.
   auto process_batch = [&](size_t wid, const Morsel& morsel) -> Status {
     WorkerSink& sink = sinks[wid];
     Arena& scratch = pool.ScratchArena(wid);
@@ -965,21 +786,7 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
       pool, dop_max, &target_dop, &probe_cursor,
       [&](size_t wid, const Morsel& morsel) -> Status {
         DBM_RETURN_NOT_OK(fault_gate.Check());
-        WorkerSink& sink = sinks[wid];
-        if (use_batch) {
-          DBM_RETURN_NOT_OK(process_batch(wid, morsel));
-        } else {
-          DBM_RETURN_NOT_OK(ScanMorsel(
-              plan.probe, morsel,
-              [&](Tuple tuple) {
-                return process_row(sink, std::move(tuple));
-              },
-              profiling ? &sink.raw_rows : nullptr));
-          if (profiling && plan.probe.paged != nullptr) {
-            sink.pages += morsel.size();
-          }
-        }
-        ++sink.morsels;
+        DBM_RETURN_NOT_OK(process_batch(wid, morsel));
         morsels_done.fetch_add(1, std::memory_order_relaxed);
         return Status::OK();
       },
@@ -994,19 +801,21 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
   // Merge sinks in worker order (deterministic given a fixed schedule;
   // consumers normalize order before comparing across dops anyway).
   // -------------------------------------------------------------------
-  uint64_t processed = 0;
+  uint64_t processed = 0, raw_probe = 0, scan_probe = 0;
+  for (const WorkerSink& sink : sinks) {
+    processed += sink.rows_out;
+    raw_probe += sink.raw_rows;
+    scan_probe += sink.scan_rows;
+    pstats.batches += sink.batches;
+    pstats.steady_allocs += sink.steady_allocs;
+  }
   if (aggregating) {
-    if (use_batch) {
-      // Each worker's arena table exports through FoldPartial, so the
-      // cross-worker merge and Finish() ordering are exactly the row
-      // engine's.
-      for (WorkerSink& sink : sinks) sink.btable.ExportTo(&sink.acc);
-    }
+    // Each worker's table folds its groups straight into one accumulator
+    // (FoldPartial, in the table's insertion order); Finish() then emits
+    // them in the accumulator's deterministic key order, exactly as the
+    // serial HashAggregate does.
     GroupAccumulator merged(plan.group_by, plan.aggs);
-    for (const WorkerSink& sink : sinks) {
-      merged.Merge(sink.acc);
-      processed += sink.rows_out;
-    }
+    for (const WorkerSink& sink : sinks) sink.btable.ExportTo(&merged);
     std::vector<Tuple> rows = merged.Finish();
     pstats.rows = rows.size();
     if (out != nullptr) {
@@ -1014,12 +823,9 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
       for (Tuple& row : rows) out->push_back(std::move(row));
     }
   } else {
-    uint64_t total = 0;
-    for (const WorkerSink& sink : sinks) total += sink.rows.size();
-    pstats.rows = total;
-    processed = total;
+    pstats.rows = processed;
     if (out != nullptr) {
-      out->reserve(out->size() + total);
+      out->reserve(out->size() + processed);
       for (WorkerSink& sink : sinks) {
         for (Tuple& row : sink.rows) out->push_back(std::move(row));
       }
@@ -1033,30 +839,20 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
   par_obs.morsels.Set(static_cast<double>(
       morsels_done.load(std::memory_order_relaxed)));
   par_obs.morsels_total.Add(morsels_done.load(std::memory_order_relaxed));
-  // Deterministic work measure (same at every dop AND both engines —
-  // rows flowed through the pipeline plus rows built — so bench_diff's
-  // gate holds across the engine switch).
+  // Deterministic work measure, the same at every dop: rows flowed
+  // through the pipeline plus rows built.
   par_obs.work_cycles.Add(processed + pstats.build_rows);
-  if (use_batch) {
-    uint64_t raw_probe = 0, scan_probe = 0;
-    for (const WorkerSink& sink : sinks) {
-      raw_probe += sink.raw_rows;
-      scan_probe += sink.scan_rows;
-      pstats.batches += sink.batches;
-      pstats.steady_allocs += sink.steady_allocs;
-    }
-    uint64_t batch_rows = raw_probe;
-    for (const StageProf& sp : stage_prof) {
-      pstats.batches += sp.batches.load(std::memory_order_relaxed);
-      batch_rows += sp.raw.load(std::memory_order_relaxed);
-    }
-    par_obs.batch_batches.Add(pstats.batches);
-    par_obs.batch_rows.Add(batch_rows);
-    par_obs.batch_selectivity.Set(
-        raw_probe == 0 ? 1.0
-                       : static_cast<double>(scan_probe) /
-                             static_cast<double>(raw_probe));
+  uint64_t batch_rows = raw_probe;
+  for (const StageProf& sp : stage_prof) {
+    pstats.batches += sp.batches.load(std::memory_order_relaxed);
+    batch_rows += sp.raw.load(std::memory_order_relaxed);
   }
+  par_obs.batch_batches.Add(pstats.batches);
+  par_obs.batch_rows.Add(batch_rows);
+  par_obs.batch_selectivity.Set(
+      raw_probe == 0 ? 1.0
+                     : static_cast<double>(scan_probe) /
+                           static_cast<double>(raw_probe));
   pool.PublishWaitStateGauges();
   finish_profile(Status::OK(), "");
   return pstats;

@@ -4,24 +4,31 @@
 // A ParallelPlan is a right-deep select-project-join-aggregate pipeline:
 // one driving probe scan, a chain of hash-join stages (each with its own
 // build-side scan), then optional filter / projection / grouped
-// aggregation. ExecuteParallel runs it across the vCPU WorkerPool:
+// aggregation. ExecuteParallel runs it on the columnar batch engine
+// (query/batch.h) across the vCPU WorkerPool, at every dop:
 //
 //   build phase   per join stage: workers scan the build side in morsels
-//                 into per-worker hash-partitioned buckets, then (one
-//                 barrier) merge partitions in parallel — each of the P
+//                 into per-worker hash-partitioned collectors, then (one
+//                 barrier) merge partitions in parallel — each of the
 //                 partitions is owned by exactly one merging worker, so
 //                 the merged tables need no locks at probe time.
 //   probe phase   workers draw probe morsels from one atomic cursor and
-//                 run the whole pipeline morsel-at-a-time: filter, probe
+//                 run the whole pipeline batch-at-a-time: filter, probe
 //                 each stage's table, post-filter, project, then either
 //                 append to a per-worker row sink or fold into a
-//                 per-worker GroupAccumulator. Sinks merge at the end in
+//                 per-worker aggregation table. Sinks merge at the end in
 //                 worker order.
 //
-// dop=1 falls back to the serial executor over BuildSerial()'s operator
-// tree — the exact plan the parallel path mirrors — so serial and
-// parallel results are the same set (order-normalized; parallel output
-// order depends on the morsel schedule).
+// dop=1 is the same engine on one worker. The serial executor over
+// BuildSerial()'s operator tree is the reference the tests and
+// bench_parallel_exec hold every dop to: the same result set
+// (order-normalized; parallel output order depends on the morsel
+// schedule) and the same EXPLAIN ANALYZE tree.
+//
+// A query owns its pool for its whole duration at every dop, dop=1
+// included: it takes the pool's single job slot and resets the workers'
+// state arenas. Call ExecuteParallel from outside the pool's workers, and
+// run one query at a time per pool.
 //
 // Mid-query dop adaptation: the coordinator samples worker utilization
 // every govern_interval, publishes `exec.dop`, `exec.morsels` and
@@ -50,8 +57,9 @@
 
 namespace dbm::query {
 
-/// A scan leaf: exactly one of `paged` / `mem` is set; `filter` (may be
-/// null) is applied as the scan's σ.
+/// A scan leaf: exactly one of `paged` / `mem` is set (ExecuteParallel
+/// rejects a scan with neither); `filter` (may be null) is applied as
+/// the scan's σ.
 struct ParallelScan {
   const storage::PagedRelation* paged = nullptr;
   const data::Relation* mem = nullptr;
@@ -106,12 +114,6 @@ struct GovernorSample {
 /// manager from inside.
 using DopGovernor = std::function<size_t(const GovernorSample&)>;
 
-/// Which parallel execution engine to run the plan on. kBatch is the
-/// default vectorized columnar path (query/batch.h); kRow is the
-/// original tuple-at-a-time morsel engine, kept for A/B benchmarking
-/// and as the fallback for shapes the batch kernels do not cover.
-enum class ParallelEngine : uint8_t { kBatch, kRow };
-
 struct ParallelOptions {
   size_t dop = 1;
   /// Scale-up ceiling for the governor (0 = dop; ≥ dop otherwise). The
@@ -129,18 +131,12 @@ struct ParallelOptions {
   adapt::MetricBus* bus = nullptr;
   DopGovernor governor;
   std::chrono::nanoseconds govern_interval = std::chrono::milliseconds(2);
-  /// Forwarded to the serial executor on the dop=1 path.
-  SimTime cpu_per_tuple = 1;
-  /// Engine selection (dop > 1 only; dop=1 always runs BuildSerial).
-  /// The batch engine falls back to kRow for plans it does not cover
-  /// (group-by arity beyond its stack key buffer).
-  ParallelEngine engine = ParallelEngine::kBatch;
   /// EXPLAIN ANALYZE: when set, filled with the run's annotated plan
   /// tree — per-stage rows/cycles/allocs/pages/morsels from the phase
   /// counters, pool wait-state deltas, and failure attribution when the
-  /// query errors. The dop=1 fallback maps the serial operator stats
-  /// onto the same plan-shaped tree, so profiles compare node-for-node
-  /// across dops. Null = no profiling (no per-row overhead beyond a
+  /// query errors. The tree has BuildSerial()'s shape, so it compares
+  /// node-for-node with the serial executor's profile of the same plan
+  /// and across dops. Null = no profiling (no per-row overhead beyond a
   /// dead branch).
   QueryProfile* profile = nullptr;
 };
@@ -154,20 +150,21 @@ struct ParallelStats {
   uint64_t dop_switches = 0;  // governor-driven target changes
   double worker_util = 0;     // mean over sampling intervals (percent)
   uint64_t samples = 0;       // governor sampling intervals observed
-  uint64_t batches = 0;       // column batches processed (batch engine)
+  uint64_t batches = 0;       // column batches processed
   /// Operator-new calls inside worker morsel bodies during the probe
-  /// phase (batch engine; thread-local alloc-hook deltas). Zero in
-  /// steady state for mem-scan aggregation plans.
+  /// phase (thread-local alloc-hook deltas). Zero in steady state for
+  /// mem-scan aggregation plans.
   uint64_t steady_allocs = 0;
 };
 
-/// Builds the serial operator tree for `plan` — the dop=1 fallback and
-/// the reference the equivalence tests hold the parallel path to.
+/// Builds the serial operator tree for `plan` — the reference that the
+/// equivalence tests and bench_parallel_exec hold ExecuteParallel to,
+/// run by the serial Execute.
 Result<OperatorPtr> BuildSerial(const ParallelPlan& plan);
 
 /// Runs `plan` at options.dop across the worker pool, appending result
 /// rows to `out` (order depends on the morsel schedule; normalize before
-/// comparing). dop=1 delegates to the serial Execute over BuildSerial().
+/// comparing). Returns InvalidArgument when a scan has no input.
 Result<ParallelStats> ExecuteParallel(
     const ParallelPlan& plan, std::vector<Tuple>* out,
     const ParallelOptions& options = ParallelOptions());

@@ -11,10 +11,11 @@
 // query's total — which is what makes them attributable evidence rather
 // than host-noise.
 //
-// The same plan profiles to the same tree shape at dop 1 and dop N: the
-// parallel executor assembles plan-shaped nodes from its phase counters,
-// the serial path maps BuildSerial's operator stats onto the same
-// shape, and tests/profile_test.cc holds the two equal node-for-node.
+// The same plan profiles to the same tree at every dop and under the
+// serial executor: ExecuteParallel assembles plan-shaped nodes from its
+// phase counters, the serial Execute maps BuildSerial's operator stats
+// onto the same shape, and tests/profile_test.cc holds every dop equal
+// to the serial profile node-for-node.
 //
 // Renderers: ToText() (the EXPLAIN ANALYZE console tree), ToJson()
 // (machine-readable, also spliced into /obs/profile and the flight
@@ -42,7 +43,7 @@ struct ProfileNode {
   uint64_t allocs = 0;     // operator-new count attributed here
   uint64_t pages = 0;      // pages touched (paged scans)
   uint64_t morsels = 0;    // morsels processed (parallel phases)
-  uint64_t batches = 0;    // column batches processed (batch engine)
+  uint64_t batches = 0;    // column batches processed (parallel phases)
   double selectivity = -1;  // filters: rows_out / rows_in (-1 = n/a)
   std::vector<ProfileNode> children;
 };
@@ -66,7 +67,7 @@ struct QueryProfile {
   uint64_t host_ns = 0;
 
   // Worker wait-state deltas across the run (pool-wide, host ns;
-  // all zero on the serial path). See obs/waitstate.h.
+  // all zero under the serial executor). See obs/waitstate.h.
   uint64_t running_ns = 0;
   uint64_t idle_ns = 0;
   uint64_t barrier_ns = 0;

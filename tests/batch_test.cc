@@ -1,7 +1,7 @@
 // Tests for the vectorized columnar batch layer (query/batch.h): cell
 // primitives vs their Value counterparts, kernel-vs-row-operator
 // equivalence across seeds and selectivities, selection-vector edge
-// cases, arena reuse, and whole-plan batch-vs-row engine A/B at
+// cases, arena reuse, and whole plans held to the serial executor at
 // dop 1/2/4/8.
 
 #include <gtest/gtest.h>
@@ -14,11 +14,12 @@
 #include "common/arena.h"
 #include "common/rng.h"
 #include "data/value.h"
-#include "fault/injector.h"
 #include "query/batch.h"
 #include "query/parallel.h"
 #include "storage/paged_relation.h"
 #include "storage/replacement.h"
+
+#include "serial_reference.h"
 
 namespace dbm::query {
 namespace {
@@ -29,23 +30,6 @@ using data::Relation;
 using data::Schema;
 using data::Value;
 using data::ValueType;
-
-class ScopedFaultSpec {
- public:
-  explicit ScopedFaultSpec(const std::string& spec, uint64_t seed = 42) {
-    fault::Injector& inj = fault::Injector::Default();
-    prev_spec_ = inj.spec();
-    prev_seed_ = inj.seed();
-    EXPECT_TRUE(inj.Configure(spec, seed).ok());
-  }
-  ~ScopedFaultSpec() {
-    (void)fault::Injector::Default().Configure(prev_spec_, prev_seed_);
-  }
-
- private:
-  std::string prev_spec_;
-  uint64_t prev_seed_;
-};
 
 constexpr uint64_t kSeeds[] = {17, 23, 42};
 
@@ -89,54 +73,6 @@ struct BatchFixture {
     view.arity = batch.ncols;
   }
 };
-
-std::multiset<std::string> Canon(const std::vector<Tuple>& rows) {
-  std::multiset<std::string> out;
-  for (const Tuple& t : rows) out.insert(t.ToString());
-  return out;
-}
-
-std::vector<Tuple> SerialRows(const ParallelPlan& plan) {
-  auto root = BuildSerial(plan);
-  EXPECT_TRUE(root.ok()) << root.status().ToString();
-  std::vector<Tuple> out;
-  ExecOptions opt;
-  auto stats = Execute(root->get(), &out, opt);
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  return out;
-}
-
-/// The tentpole's contract: batch results == row-engine results == the
-/// serial reference, order-normalised, at every dop.
-void ExpectEnginesEquivalent(const ParallelPlan& plan,
-                             bool expect_nonempty = true) {
-  std::multiset<std::string> reference = Canon(SerialRows(plan));
-  if (expect_nonempty) {
-    EXPECT_FALSE(reference.empty());
-  }
-  WorkerPool pool(8);
-  for (size_t dop : {1u, 2u, 4u, 8u}) {
-    for (ParallelEngine engine :
-         {ParallelEngine::kBatch, ParallelEngine::kRow}) {
-      ParallelOptions opt;
-      opt.dop = dop;
-      opt.pool = &pool;
-      opt.engine = engine;
-      std::vector<Tuple> out;
-      auto stats = ExecuteParallel(plan, &out, opt);
-      ASSERT_TRUE(stats.ok())
-          << "dop=" << dop << " engine="
-          << (engine == ParallelEngine::kBatch ? "batch" : "row") << ": "
-          << stats.status().ToString();
-      EXPECT_EQ(Canon(out), reference)
-          << "dop=" << dop << " engine="
-          << (engine == ParallelEngine::kBatch ? "batch" : "row");
-      if (dop > 1 && engine == ParallelEngine::kBatch) {
-        EXPECT_GT(stats->batches, 0u) << "batch engine processed no batches";
-      }
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Cell primitives mirror their Value counterparts
@@ -252,7 +188,7 @@ TEST(BatchKernelTest, ErrorStringsMatchRowEngine) {
 }
 
 TEST(BatchKernelTest, AndShortCircuitSkipsErroringRightSide) {
-  // Row engine: And() only Tests the right child when the left side
+  // Expr::Test: And() only Tests the right child when the left side
   // passed, so 10/x on rows with x == 0 never runs. The batch kernel
   // must preserve exactly that.
   Relation rel("r", Schema({{"x", ValueType::kInt}}));
@@ -407,7 +343,7 @@ TEST(ArenaTest, ArenaVecGrowsAndSurvivesClear) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-plan engine A/B: batch == row == serial at dop 1/2/4/8
+// Whole plans: batch engine == serial executor at dop 1/2/4/8
 // ---------------------------------------------------------------------------
 
 TEST(BatchEngineTest, FilterProjectEquivalence) {
@@ -421,7 +357,7 @@ TEST(BatchEngineTest, FilterProjectEquivalence) {
     plan.project_schema = Schema({{"a", ValueType::kInt},
                                   {"ad", ValueType::kInt},
                                   {"c", ValueType::kString}});
-    ExpectEnginesEquivalent(plan);
+    ExpectMatchesSerialAtEveryDop(plan);
   }
 }
 
@@ -449,7 +385,7 @@ TEST(BatchEngineTest, JoinWithDuplicateKeysEquivalence) {
     stage.build.mem = &build;
     stage.spec = JoinSpec{0, 3};  // dims.k = probe.d
     plan.joins.push_back(std::move(stage));
-    ExpectEnginesEquivalent(plan);
+    ExpectMatchesSerialAtEveryDop(plan);
   }
 }
 
@@ -463,7 +399,7 @@ TEST(BatchEngineTest, JoinWithEmptyBuildSideProducesNothing) {
   stage.build.mem = &build;
   stage.spec = JoinSpec{0, 3};
   plan.joins.push_back(std::move(stage));
-  ExpectEnginesEquivalent(plan, /*expect_nonempty=*/false);
+  ExpectMatchesSerialAtEveryDop(plan, /*expect_nonempty=*/false);
 }
 
 TEST(BatchEngineTest, TwoStageJoinWithPostFilterEquivalence) {
@@ -488,7 +424,7 @@ TEST(BatchEngineTest, TwoStageJoinWithPostFilterEquivalence) {
   s2.spec = JoinSpec{0, 1};
   plan.joins.push_back(std::move(s2));
   plan.post_filter = Gt(Col(4), Lit(Value{int64_t{20}}));  // probe.a > 20
-  ExpectEnginesEquivalent(plan);
+  ExpectMatchesSerialAtEveryDop(plan);
 }
 
 TEST(BatchEngineTest, AggregationOneGroupAndAllDistinct) {
@@ -504,7 +440,7 @@ TEST(BatchEngineTest, AggregationOneGroupAndAllDistinct) {
                    {AggFunc::kMin, 0, "min_a"},
                    {AggFunc::kMax, 1, "max_b"},
                    {AggFunc::kAvg, 1, "avg_b"}};
-      ExpectEnginesEquivalent(plan);
+      ExpectMatchesSerialAtEveryDop(plan);
     }
     // All-distinct: group by a near-unique expression source column so
     // almost every row is its own group.
@@ -517,7 +453,7 @@ TEST(BatchEngineTest, AggregationOneGroupAndAllDistinct) {
                                     {"b", ValueType::kDouble}});
       plan.group_by = {0, 1};  // (a, d): many distinct pairs, null keys too
       plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 2, "s"}};
-      ExpectEnginesEquivalent(plan);
+      ExpectMatchesSerialAtEveryDop(plan);
     }
   }
 }
@@ -530,7 +466,7 @@ TEST(BatchEngineTest, GroupByStringKeysEquivalence) {
   plan.probe.filter = Gt(Col(0), Lit(Value{int64_t{5}}));
   plan.group_by = {2};  // string column
   plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
-  ExpectEnginesEquivalent(plan);
+  ExpectMatchesSerialAtEveryDop(plan);
 }
 
 TEST(BatchEngineTest, PagedProbeEquivalence) {
@@ -556,47 +492,31 @@ TEST(BatchEngineTest, PagedProbeEquivalence) {
   ParallelPlan paged_plan = mem_plan;
   paged_plan.probe.mem = nullptr;
   paged_plan.probe.paged = paged->get();
-  WorkerPool pool(4);
-  for (size_t dop : {2u, 4u}) {
-    for (ParallelEngine engine :
-         {ParallelEngine::kBatch, ParallelEngine::kRow}) {
-      ParallelOptions opt;
-      opt.dop = dop;
-      opt.pool = &pool;
-      opt.engine = engine;
-      opt.morsel_pages = 2;
-      std::vector<Tuple> out;
-      auto stats = ExecuteParallel(paged_plan, &out, opt);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(Canon(out), reference) << "dop=" << dop;
-    }
-  }
+  ParallelOptions opt;
+  opt.morsel_pages = 2;
+  ExpectMatchesAtEveryDop(paged_plan, reference, opt);
   EXPECT_TRUE(buffer->CheckInvariants().ok());
 }
 
-TEST(BatchEngineTest, WideGroupByFallsBackToRowEngine) {
-  // 17 group-by columns exceed the batch agg table's key buffer; the
-  // dispatcher must route to the row engine and still be correct.
+TEST(BatchEngineTest, WideGroupByRunsOnBatches) {
+  // GROUP BY arity has no fixed bound: the aggregation table sizes its
+  // probe-key buffer to the plan, so 17 and 20 keys stay on batches.
   ScopedFaultSpec quiet("");
   Relation rel("wide", Schema({{"a", ValueType::kInt},
-                               {"b", ValueType::kInt}}));
-  for (int64_t i = 0; i < 200; ++i) {
-    rel.InsertUnchecked(Tuple({i % 5, i}));
+                               {"b", ValueType::kInt},
+                               {"c", ValueType::kString},
+                               {"v", ValueType::kInt}}));
+  for (int64_t i = 0; i < 3000; ++i) {
+    rel.InsertUnchecked(
+        Tuple({i % 5, i % 7, "s#" + std::to_string(i % 3), i}));
   }
-  ParallelPlan plan;
-  plan.probe.mem = &rel;
-  plan.group_by.assign(17, 0);  // 17 copies of column a
-  plan.aggs = {{AggFunc::kSum, 1, "s"}};
-  std::multiset<std::string> reference = Canon(SerialRows(plan));
-  WorkerPool pool(4);
-  ParallelOptions opt;
-  opt.dop = 4;
-  opt.pool = &pool;
-  std::vector<Tuple> out;
-  auto stats = ExecuteParallel(plan, &out, opt);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(Canon(out), reference);
-  EXPECT_EQ(stats->batches, 0u) << "wide GROUP BY should not use batches";
+  for (size_t keys : {17u, 20u}) {
+    ParallelPlan plan;
+    plan.probe.mem = &rel;
+    for (size_t k = 0; k < keys; ++k) plan.group_by.push_back(k % 3);
+    plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 3, "s"}};
+    ExpectMatchesSerialAtEveryDop(plan);
+  }
 }
 
 TEST(BatchEngineTest, ErrorsPropagateFromBatchKernels) {

@@ -199,8 +199,11 @@ TEST(XmlTest, RowRoundTrip) {
 // Codecs (property: round trip over random payloads)
 // ---------------------------------------------------------------------------
 
+// The codec name is a std::string, not a const char*, so the printed
+// parameter (and the test name ctest derives from it) is the name itself
+// rather than the literal's address.
 class CodecRoundTrip
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(CodecRoundTrip, EncodeDecodeIdentity) {
   auto [name, seed] = GetParam();

@@ -12,11 +12,12 @@
 
 #include "adapt/metrics.h"
 #include "common/rng.h"
-#include "fault/injector.h"
 #include "query/paged_source.h"
 #include "query/parallel.h"
 #include "storage/paged_relation.h"
 #include "storage/replacement.h"
+
+#include "serial_reference.h"
 
 namespace dbm::query {
 namespace {
@@ -24,27 +25,6 @@ namespace {
 using data::Relation;
 using data::Schema;
 using data::ValueType;
-
-/// Equivalence tests compare exact result sets, so the process injector
-/// (armed by the chaos CI's DBM_FAULT_SPEC) is disarmed for their
-/// duration and restored afterwards. The dedicated fault test arms its
-/// own spec the same way.
-class ScopedFaultSpec {
- public:
-  explicit ScopedFaultSpec(const std::string& spec, uint64_t seed = 42) {
-    fault::Injector& inj = fault::Injector::Default();
-    prev_spec_ = inj.spec();
-    prev_seed_ = inj.seed();
-    EXPECT_TRUE(inj.Configure(spec, seed).ok());
-  }
-  ~ScopedFaultSpec() {
-    (void)fault::Injector::Default().Configure(prev_spec_, prev_seed_);
-  }
-
- private:
-  std::string prev_spec_;
-  uint64_t prev_seed_;
-};
 
 /// Probe-side table. `val` is always a multiple of 0.25 — an exact
 /// binary fraction — so parallel sum-merge reassociation cannot change
@@ -80,40 +60,6 @@ Relation MakePeople(size_t people, uint64_t seed) {
                                "p#" + std::to_string(i)}));
   }
   return rel;
-}
-
-std::multiset<std::string> Canon(const std::vector<Tuple>& rows) {
-  std::multiset<std::string> out;
-  for (const Tuple& t : rows) out.insert(t.ToString());
-  return out;
-}
-
-/// Serial reference through BuildSerial + the serial executor.
-std::vector<Tuple> SerialRows(const ParallelPlan& plan) {
-  auto root = BuildSerial(plan);
-  EXPECT_TRUE(root.ok()) << root.status().ToString();
-  std::vector<Tuple> out;
-  ExecOptions opt;
-  auto stats = Execute(root->get(), &out, opt);
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  return out;
-}
-
-void ExpectEquivalentAtAllDops(const ParallelPlan& plan) {
-  std::multiset<std::string> reference = Canon(SerialRows(plan));
-  EXPECT_FALSE(reference.empty());
-  WorkerPool pool(8);
-  for (size_t dop : {1u, 2u, 4u, 8u}) {
-    ParallelOptions opt;
-    opt.dop = dop;
-    opt.pool = &pool;
-    std::vector<Tuple> out;
-    auto stats = ExecuteParallel(plan, &out, opt);
-    ASSERT_TRUE(stats.ok()) << "dop=" << dop << ": "
-                            << stats.status().ToString();
-    EXPECT_EQ(Canon(out), reference) << "dop=" << dop;
-    EXPECT_EQ(stats->rows, out.size());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +226,7 @@ TEST(ParallelExecTest, ScanFilterMatchesSerial) {
     ParallelPlan plan;
     plan.probe.mem = &orders;
     plan.probe.filter = Gt(Col(1), Lit(int64_t{9}));
-    ExpectEquivalentAtAllDops(plan);
+    ExpectMatchesSerialAtEveryDop(plan);
   }
 }
 
@@ -302,7 +248,7 @@ TEST(ParallelExecTest, JoinProjectMatchesSerial) {
     plan.project_schema = Schema({{"grp", ValueType::kInt},
                                   {"val", ValueType::kDouble},
                                   {"name", ValueType::kString}});
-    ExpectEquivalentAtAllDops(plan);
+    ExpectMatchesSerialAtEveryDop(plan);
   }
 }
 
@@ -324,7 +270,7 @@ TEST(ParallelExecTest, JoinAggregateMatchesSerial) {
                  {AggFunc::kMin, 5, "min_val"},
                  {AggFunc::kMax, 5, "max_val"},
                  {AggFunc::kAvg, 4, "avg_qty"}};
-    ExpectEquivalentAtAllDops(plan);
+    ExpectMatchesSerialAtEveryDop(plan);
   }
 }
 
@@ -348,7 +294,7 @@ TEST(ParallelExecTest, TwoJoinChainMatchesSerial) {
   s2.build.mem = &groups;
   s2.spec = JoinSpec{0, 1};  // groups.gid = people.grp
   plan.joins.push_back(std::move(s2));
-  ExpectEquivalentAtAllDops(plan);
+  ExpectMatchesSerialAtEveryDop(plan);
 }
 
 TEST(ParallelExecTest, PagedScanMatchesMemScan) {
@@ -372,19 +318,39 @@ TEST(ParallelExecTest, PagedScanMatchesMemScan) {
   ParallelPlan paged_plan;
   paged_plan.probe.paged = paged->get();
   paged_plan.probe.filter = Gt(Col(1), Lit(int64_t{4}));
+  ParallelOptions opt;
+  opt.morsel_pages = 2;
+  ExpectMatchesAtEveryDop(paged_plan, reference, opt);
+  EXPECT_TRUE(buffer->CheckInvariants().ok());
+}
+
+TEST(ParallelExecTest, ScanWithoutInputIsRejectedAtEveryDop) {
+  // Workers and the coordinator both dereference every scan, so a plan
+  // whose probe or build scan has neither a paged nor a mem input is an
+  // argument error before any work starts — never a crash.
+  ScopedFaultSpec quiet("");
+  Relation orders = MakeOrders(500, 20, 17);
+  ParallelPlan no_build;
+  no_build.probe.mem = &orders;
+  ParallelJoinStage stage;
+  stage.spec = JoinSpec{0, 0};
+  no_build.joins.push_back(std::move(stage));
+  ParallelPlan no_probe;
+
   WorkerPool pool(4);
   for (size_t dop : {1u, 2u, 4u}) {
     ParallelOptions opt;
     opt.dop = dop;
     opt.pool = &pool;
-    opt.morsel_pages = 2;
-    std::vector<Tuple> out;
-    auto stats = ExecuteParallel(paged_plan, &out, opt);
-    ASSERT_TRUE(stats.ok()) << "dop=" << dop << ": "
-                            << stats.status().ToString();
-    EXPECT_EQ(Canon(out), reference) << "dop=" << dop;
+    for (const ParallelPlan* plan : {&no_build, &no_probe}) {
+      std::vector<Tuple> out;
+      auto stats = ExecuteParallel(*plan, &out, opt);
+      ASSERT_FALSE(stats.ok()) << "dop=" << dop;
+      EXPECT_TRUE(stats.status().IsInvalidArgument())
+          << "dop=" << dop << ": " << stats.status().ToString();
+      EXPECT_TRUE(out.empty());
+    }
   }
-  EXPECT_TRUE(buffer->CheckInvariants().ok());
 }
 
 // ---------------------------------------------------------------------------

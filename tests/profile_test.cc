@@ -1,7 +1,8 @@
 // Tests for the per-query profiling plane: EXPLAIN ANALYZE attribution
-// invariants (per-node cycles/rows/allocs sum to the query totals, same
-// tree at every dop), worker wait-state accounting, failure attribution,
-// and the profiles relation / /obs/profile endpoint round trips.
+// invariants (per-node cycles/rows/allocs sum to the query totals, the
+// serial executor's tree at every dop), worker wait-state accounting,
+// failure attribution, and the profiles relation / /obs/profile endpoint
+// round trips.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fault/injector.h"
 #include "obs/alloc_hook.h"
 #include "obs/metrics.h"
 #include "obs/observatory.h"
@@ -20,32 +20,14 @@
 #include "obs/profile_table.h"
 #include "query/parallel.h"
 
+#include "serial_reference.h"
+
 namespace dbm::query {
 namespace {
 
 using data::Relation;
 using data::Schema;
 using data::ValueType;
-
-/// Profiles must reflect the plan's own work, so the process injector
-/// (armed by the chaos CI's DBM_FAULT_SPEC) is disarmed for most tests;
-/// the attribution test arms its own spec the same way.
-class ScopedFaultSpec {
- public:
-  explicit ScopedFaultSpec(const std::string& spec, uint64_t seed = 42) {
-    fault::Injector& inj = fault::Injector::Default();
-    prev_spec_ = inj.spec();
-    prev_seed_ = inj.seed();
-    EXPECT_TRUE(inj.Configure(spec, seed).ok());
-  }
-  ~ScopedFaultSpec() {
-    (void)fault::Injector::Default().Configure(prev_spec_, prev_seed_);
-  }
-
- private:
-  std::string prev_spec_;
-  uint64_t prev_seed_;
-};
 
 Relation MakeOrders(size_t rows, size_t people, uint64_t seed) {
   Relation rel("orders", Schema({{"person_id", ValueType::kInt},
@@ -126,6 +108,23 @@ QueryProfile ProfiledRun(const ParallelPlan& plan, size_t dop,
   return profile;
 }
 
+/// The serial executor's profile of BuildSerial(plan): the reference
+/// tree every dop is held to.
+QueryProfile SerialProfile(const ParallelPlan& plan, uint64_t* rows) {
+  QueryProfile profile;
+  profile.query = "serial";
+  auto root = BuildSerial(plan);
+  EXPECT_TRUE(root.ok()) << root.status().ToString();
+  if (!root.ok()) return profile;
+  ExecOptions opt;
+  opt.profile = &profile;
+  std::vector<Tuple> out;
+  auto stats = Execute(root->get(), &out, opt);
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  if (stats.ok()) *rows = stats->rows;
+  return profile;
+}
+
 TEST(ProfileTest, SameTreeAtEveryDop) {
   obs::InstallCountingAllocator();
   ScopedFaultSpec quiet("");
@@ -135,8 +134,7 @@ TEST(ProfileTest, SameTreeAtEveryDop) {
   WorkerPool pool(8);
 
   uint64_t serial_rows = 0;
-  QueryProfile serial = ProfiledRun(plan, 1, &pool, &serial_rows);
-  EXPECT_EQ(serial.dop, 1u);
+  QueryProfile serial = SerialProfile(plan, &serial_rows);
   EXPECT_EQ(serial.total_rows, serial_rows);
   EXPECT_EQ(serial.root.name, "aggregate");
   ASSERT_EQ(serial.root.children.size(), 1u);
@@ -147,7 +145,7 @@ TEST(ProfileTest, SameTreeAtEveryDop) {
             "filter(($1 > 4))");
   ExpectSumsToTotals(serial);
 
-  for (size_t dop : {2u, 4u, 8u}) {
+  for (size_t dop : {1u, 2u, 4u, 8u}) {
     QueryProfile par = ProfiledRun(plan, dop, &pool);
     EXPECT_EQ(par.dop, dop);
     EXPECT_EQ(par.total_rows, serial.total_rows) << "dop=" << dop;
@@ -166,16 +164,9 @@ TEST(ProfileTest, SerialExecutorFillsProfile) {
   Relation people = MakePeople(100, 12);
   ParallelPlan plan = JoinAggPlan(orders, people);
 
-  auto root = BuildSerial(plan);
-  ASSERT_TRUE(root.ok()) << root.status().ToString();
-  QueryProfile profile;
-  profile.query = "serial";
-  ExecOptions opt;
-  opt.profile = &profile;
-  std::vector<Tuple> out;
-  auto stats = Execute(root->get(), &out, opt);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(profile.total_rows, stats->rows);
+  uint64_t rows = 0;
+  QueryProfile profile = SerialProfile(plan, &rows);
+  EXPECT_EQ(profile.total_rows, rows);
   EXPECT_EQ(profile.root.name, "aggregate");
   ExpectSumsToTotals(profile);
   EXPECT_GT(profile.host_ns, 0u);

@@ -294,6 +294,22 @@ TEST(AggregateTest, GroupByWithAllFunctions) {
   EXPECT_DOUBLE_EQ(std::get<double>(rows[0].at(5)), 3.0);
 }
 
+TEST(AggregateTest, RepeatedStringGroupColumnKeepsEveryKeyCopy) {
+  // The aggregate consumes its input rows; a column listed twice in the
+  // GROUP BY must still land in both key slots.
+  Relation rel("t", Schema({{"g", ValueType::kString},
+                            {"v", ValueType::kInt}}));
+  rel.InsertUnchecked(Tuple({std::string("a"), int64_t{1}}));
+  rel.InsertUnchecked(Tuple({std::string("a"), int64_t{3}}));
+  rel.InsertUnchecked(Tuple({std::string("b"), int64_t{10}}));
+  HashAggregate agg(std::make_unique<MemSource>(&rel), {0, 0},
+                    {{AggFunc::kCount, 0, "n"}});
+  auto rows = Drain(&agg);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].ToString(), "[a, a, 2]");
+  EXPECT_EQ(rows[1].ToString(), "[b, b, 1]");
+}
+
 TEST(AggregateTest, GlobalAggregateNoGroups) {
   Relation rel = SmallTable("t", {5, 6, 7});
   HashAggregate agg(std::make_unique<MemSource>(&rel), {},
