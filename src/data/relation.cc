@@ -301,6 +301,9 @@ Result<Relation> Relation::Deserialize(const std::vector<uint8_t>& bytes) {
           row.values.emplace_back(std::move(s));
           break;
         }
+        default:
+          return Status::IoError("unknown value type tag " +
+                                 std::to_string(bytes[r.pos - 1]));
       }
     }
     rel.InsertUnchecked(std::move(row));

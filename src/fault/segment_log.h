@@ -103,8 +103,9 @@ void PutLe(std::string* out, T v) {
   }
 }
 
-/// Bounds-checked little-endian reads over one payload: every read
-/// returns false instead of running past the end.
+/// Bounds-checked little-endian reads over one payload — a log frame's,
+/// or a paged record's (storage::DecodeRecord): every read returns false
+/// instead of running past the end.
 class PayloadReader {
  public:
   explicit PayloadReader(std::string_view payload) : rest_(payload) {}
@@ -113,6 +114,10 @@ class PayloadReader {
   bool Le(T* v) {
     if (rest_.size() < sizeof(T)) return false;
     uint64_t out = 0;
+    // Unrolled, the byte-wise composition fuses into one load where the
+    // native order is little-endian; as a loop, -O2 reads byte by byte.
+    // Paged scans decode every value through here.
+#pragma GCC unroll 8
     for (size_t i = 0; i < sizeof(T); ++i) {
       out |= static_cast<uint64_t>(static_cast<uint8_t>(rest_[i])) << (8 * i);
     }

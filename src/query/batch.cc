@@ -309,31 +309,23 @@ Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
     build[c].doubles.Init(scratch);
     build[c].strings.Init(scratch);
   }
+  // Every typed array stays row-aligned: a value pushes its payload into
+  // its tag's array and zero placeholders into the others. String
+  // payloads view the pinned frame, so they are copied into the scratch
+  // arena, which outlives the pin.
+  auto sink = [&](size_t c, const storage::FieldView& f) {
+    ColBuild& col = build[c];
+    col.tags.PushBack(static_cast<uint8_t>(f.type));
+    col.ints.PushBack(f.i);
+    col.doubles.PushBack(f.d);
+    col.strings.PushBack(f.type == ValueType::kString
+                             ? scratch->CopyString(f.s)
+                             : std::string_view());
+  };
   size_t rows = 0;
   for (size_t page = page_begin; page < page_end; ++page) {
-    for (uint16_t slot = 0;; ++slot) {
-      DBM_ASSIGN_OR_RETURN(std::optional<data::Tuple> tuple,
-                           rel.ReadAt(page, slot));
-      if (!tuple.has_value()) break;
-      for (size_t c = 0; c < ncols; ++c) {
-        // Every typed array stays row-aligned: a row pushes a live value
-        // into its tag's array and zero placeholders into the others.
-        const Value& val = tuple->at(c);
-        ValueType t = data::TypeOf(val);
-        build[c].tags.PushBack(static_cast<uint8_t>(t));
-        build[c].ints.PushBack(t == ValueType::kInt ? std::get<int64_t>(val)
-                                                    : 0);
-        build[c].doubles.PushBack(
-            t == ValueType::kDouble ? std::get<double>(val) : 0.0);
-        // Decoded tuples die with this morsel; string payloads move to
-        // the scratch arena so the batch can keep referring to them.
-        build[c].strings.PushBack(
-            t == ValueType::kString
-                ? scratch->CopyString(std::get<std::string>(val))
-                : std::string_view());
-      }
-      ++rows;
-    }
+    DBM_ASSIGN_OR_RETURN(size_t records, rel.DecodePage(page, sink));
+    rows += records;
   }
   Column* cols = scratch->AllocateArray<Column>(ncols);
   for (size_t c = 0; c < ncols; ++c) {

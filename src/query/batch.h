@@ -23,7 +23,8 @@
 // Everything transient lives in per-worker slab arenas (common/arena.h):
 // scratch resets every morsel, state every query, both retain their
 // chunks — so the steady-state morsel body performs zero operator-new
-// calls (asserted by bench_parallel_exec via the counting-allocator hook).
+// calls, for mem and paged scans alike (asserted through the
+// counting-allocator hook by bench_parallel_exec and parallel_exec_test).
 //
 // Semantics are pinned cell-for-cell to the serial operators the
 // reference executor runs: CompareValues / HashValue equivalences (ints
@@ -194,10 +195,12 @@ void HashColumn(const BatchView& v, size_t col, const uint32_t* sel,
 void LoadMemBatch(const data::ColumnarView& view, size_t begin, size_t end,
                   Arena* scratch, ColumnBatch* out);
 
-/// Loads a paged-scan morsel (pages [page_begin, page_end)) by decoding
-/// records into `scratch` columns. Decoding materialises tuples, so this
-/// path allocates (documented in PERFORMANCE.md); the zero-alloc
-/// guarantee is for mem scans. `raw_rows` counts decoded rows.
+/// Loads a paged-scan morsel (pages [page_begin, page_end)) a page at a
+/// time: PagedRelation::DecodePage pins each page once and decodes every
+/// record straight into `scratch` columns, string payloads copied out of
+/// the frame. That is one getpage
+/// per page, and once the arena is warm the load allocates nothing.
+/// `raw_rows` counts decoded rows.
 Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
                       size_t page_end, Arena* scratch, ColumnBatch* out,
                       uint64_t* raw_rows);

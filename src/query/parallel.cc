@@ -577,8 +577,8 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
   // fan-out; `pos_to_row` maps them back to scan rows and `segs[k][pos]`
   // to the stage-k build row's cells. Everything transient comes from
   // the worker's scratch arena (reset here, chunks retained), so the
-  // steady-state body performs zero operator-new calls on mem scans —
-  // measured per-thread into sink.steady_allocs.
+  // steady-state body performs zero operator-new calls on mem and paged
+  // scans — measured per-thread into sink.steady_allocs.
   auto process_batch = [&](size_t wid, const Morsel& morsel) -> Status {
     WorkerSink& sink = sinks[wid];
     Arena& scratch = pool.ScratchArena(wid);

@@ -152,8 +152,9 @@ struct ParallelStats {
   uint64_t samples = 0;       // governor sampling intervals observed
   uint64_t batches = 0;       // column batches processed
   /// Operator-new calls inside worker morsel bodies during the probe
-  /// phase (thread-local alloc-hook deltas). Zero in steady state for
-  /// mem-scan aggregation plans.
+  /// phase (thread-local alloc-hook deltas; build morsels are not
+  /// counted). Zero in steady state for aggregation plans over mem or
+  /// paged probe scans.
   uint64_t steady_allocs = 0;
 };
 

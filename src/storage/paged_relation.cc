@@ -1,5 +1,6 @@
 #include "storage/paged_relation.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dbm::storage {
@@ -49,54 +50,25 @@ std::vector<uint8_t> EncodeTuple(const Tuple& tuple) {
 
 Result<Tuple> DecodeTuple(const std::vector<uint8_t>& bytes, size_t arity) {
   Tuple tuple;
-  size_t pos = 0;
-  auto u32 = [&]() -> Result<uint32_t> {
-    if (pos + 4 > bytes.size()) return Status::IoError("truncated u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes[pos++]) << (8 * i);
-    return v;
-  };
-  auto u64 = [&]() -> Result<uint64_t> {
-    if (pos + 8 > bytes.size()) return Status::IoError("truncated u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes[pos++]) << (8 * i);
-    return v;
-  };
-  for (size_t c = 0; c < arity; ++c) {
-    if (pos >= bytes.size()) return Status::IoError("truncated tuple");
-    auto type = static_cast<ValueType>(bytes[pos++]);
-    switch (type) {
-      case ValueType::kNull:
-        tuple.values.emplace_back();
-        break;
-      case ValueType::kInt: {
-        DBM_ASSIGN_OR_RETURN(uint64_t bits, u64());
-        tuple.values.emplace_back(static_cast<int64_t>(bits));
-        break;
-      }
-      case ValueType::kDouble: {
-        DBM_ASSIGN_OR_RETURN(uint64_t bits, u64());
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        tuple.values.emplace_back(d);
-        break;
-      }
-      case ValueType::kString: {
-        DBM_ASSIGN_OR_RETURN(uint32_t len, u32());
-        if (pos + len > bytes.size()) {
-          return Status::IoError("truncated string value");
+  // Every value takes at least its type byte.
+  tuple.values.reserve(std::min(arity, bytes.size()));
+  DBM_RETURN_NOT_OK(DecodeRecord(
+      bytes.data(), bytes.size(), arity, [&](size_t, const FieldView& f) {
+        switch (f.type) {
+          case ValueType::kNull:
+            tuple.values.emplace_back();
+            break;
+          case ValueType::kInt:
+            tuple.values.emplace_back(f.i);
+            break;
+          case ValueType::kDouble:
+            tuple.values.emplace_back(f.d);
+            break;
+          case ValueType::kString:
+            tuple.values.emplace_back(std::string(f.s));
+            break;
         }
-        tuple.values.emplace_back(
-            std::string(bytes.begin() + static_cast<long>(pos),
-                        bytes.begin() + static_cast<long>(pos + len)));
-        pos += len;
-        break;
-      }
-    }
-  }
-  if (pos != bytes.size()) {
-    return Status::IoError("trailing bytes after tuple");
-  }
+      }));
   return tuple;
 }
 

@@ -6,16 +6,10 @@ namespace dbm::storage {
 
 namespace {
 
-uint16_t GetU16(const Page& page, size_t off) {
-  return static_cast<uint16_t>(page.bytes[off] |
-                               (page.bytes[off + 1] << 8));
-}
 void PutU16(Page* page, size_t off, uint16_t v) {
   page->bytes[off] = static_cast<uint8_t>(v & 0xFF);
   page->bytes[off + 1] = static_cast<uint8_t>(v >> 8);
 }
-
-constexpr size_t kHeader = 4;  // count + free offset
 
 }  // namespace
 
@@ -60,32 +54,17 @@ Status RecordFile::Attach() {
   pages_.clear();
   record_count_ = 0;
   for (PageId pid = 0; pid < disk_->page_count(); ++pid) {
-    Result<Page*> page = buffer_->GetPage(pid);
-    if (!page.ok()) {
-      // A torn slot (DataLoss) past the prefix ends the relation — the
-      // torn-tail rule again. Anything else is a real failure.
-      if (page.status().IsDataLoss()) break;
-      return page.status();
-    }
-    uint16_t count = GetU16(**page, 0);
-    uint16_t free_off = GetU16(**page, 2);
-    // Validate the slot directory: lengths must chain exactly to
-    // free_offset. A freshly allocated page a crash left empty
-    // (count == 0) ends the prefix, as does a malformed directory.
-    bool valid = count > 0 && free_off >= kHeader && free_off <= kPageSize;
-    if (valid) {
-      size_t off = kHeader;
-      for (uint16_t s = 0; s < count; ++s) {
-        if (off + 2 > free_off) {
-          valid = false;
-          break;
-        }
-        off += 2 + GetU16(**page, off);
-      }
-      if (off != free_off) valid = false;
-    }
-    DBM_RETURN_NOT_OK(buffer_->Unpin(pid, false));
-    if (!valid) break;
+    size_t count = 0;
+    Status walk = VisitPage(pid, [&](uint16_t, const uint8_t*, size_t) {
+      ++count;
+      return true;
+    });
+    // A torn slot or a malformed slot directory (both DataLoss) past the
+    // prefix ends the relation — the torn-tail rule again — as does a
+    // freshly allocated page a crash left empty. Anything else is a real
+    // failure.
+    if (walk.IsDataLoss() || (walk.ok() && count == 0)) break;
+    DBM_RETURN_NOT_OK(walk);
     pages_.push_back(pid);
     record_count_ += count;
   }
@@ -93,21 +72,19 @@ Status RecordFile::Attach() {
 }
 
 Result<std::vector<uint8_t>> RecordFile::Read(const RecordId& id) {
-  DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetPage(id.page));
-  uint16_t count = GetU16(*page, 0);
-  if (id.slot >= count) {
-    (void)buffer_->Unpin(id.page, false);
-    return Status::NotFound("slot out of range");
-  }
-  size_t off = kHeader;
-  for (uint16_t s = 0; s < id.slot; ++s) {
-    off += 2 + GetU16(*page, off);
-  }
-  uint16_t len = GetU16(*page, off);
-  std::vector<uint8_t> out(page->bytes.begin() + static_cast<long>(off + 2),
-                           page->bytes.begin() +
-                               static_cast<long>(off + 2 + len));
-  DBM_RETURN_NOT_OK(buffer_->Unpin(id.page, false));
+  std::vector<uint8_t> out;
+  bool found = false;
+  // The walk runs to the end even after the slot is found: only a full
+  // walk checks that the length chain ends at the free offset.
+  DBM_RETURN_NOT_OK(VisitPage(
+      id.page, [&](uint16_t slot, const uint8_t* bytes, size_t len) {
+        if (slot == id.slot) {
+          out.assign(bytes, bytes + len);
+          found = true;
+        }
+        return true;
+      }));
+  if (!found) return Status::NotFound("slot out of range");
   return out;
 }
 
@@ -115,19 +92,13 @@ Status RecordFile::Scan(
     const std::function<bool(const RecordId&, const std::vector<uint8_t>&)>&
         visitor) {
   for (PageId pid : pages_) {
-    DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetPage(pid));
-    uint16_t count = GetU16(*page, 0);
-    size_t off = kHeader;
     bool stop = false;
-    for (uint16_t s = 0; s < count && !stop; ++s) {
-      uint16_t len = GetU16(*page, off);
-      std::vector<uint8_t> rec(
-          page->bytes.begin() + static_cast<long>(off + 2),
-          page->bytes.begin() + static_cast<long>(off + 2 + len));
-      stop = !visitor(RecordId{pid, s}, rec);
-      off += 2 + len;
-    }
-    DBM_RETURN_NOT_OK(buffer_->Unpin(pid, false));
+    DBM_RETURN_NOT_OK(VisitPage(
+        pid, [&](uint16_t slot, const uint8_t* bytes, size_t len) {
+          std::vector<uint8_t> rec(bytes, bytes + len);
+          stop = !visitor(RecordId{pid, slot}, rec);
+          return !stop;
+        }));
     if (stop) break;
   }
   return Status::OK();

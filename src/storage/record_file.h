@@ -3,11 +3,19 @@
 // Page layout: [u16 record_count][u16 free_offset][records...], each
 // record prefixed with a u16 length. Records never span pages; a record
 // larger than the page payload is rejected.
+//
+// Every reader goes through one slot-directory walk (WalkSlots), which
+// bounds every record by the page's free offset before handing it out
+// and requires the length chain to end exactly there — so a corrupt
+// directory is DataLoss, never a read past the frame. The page visitor
+// (VisitPage) is the scan primitive: one pin, one walk, every record's
+// bytes straight from the frame, one Unpin.
 
 #ifndef DBM_STORAGE_RECORD_FILE_H_
 #define DBM_STORAGE_RECORD_FILE_H_
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -36,13 +44,14 @@ class RecordFile {
 
   /// Re-attaches to pages already on the disk after a restart (the WAL
   /// has been replayed by then): walks page ids in order, validates each
-  /// page's slot directory, and stops at the first empty or unreadable
-  /// page — the relation's clean prefix. Assumes the file owns the
-  /// disk's pages 0..n-1 contiguously (one relation per disk, the
-  /// load-then-scan discipline).
+  /// page's slot directory, and stops at the first empty, malformed or
+  /// unreadable page — the relation's clean prefix. Assumes the file
+  /// owns the disk's pages 0..n-1 contiguously (one relation per disk,
+  /// the load-then-scan discipline).
   Status Attach();
 
-  /// Reads one record.
+  /// Reads one record: NotFound past the page's record count, DataLoss
+  /// when the page's slot directory is malformed.
   Result<std::vector<uint8_t>> Read(const RecordId& id);
 
   /// Visits every record in file order. The visitor may return false to
@@ -51,6 +60,18 @@ class RecordFile {
       const std::function<bool(const RecordId&, const std::vector<uint8_t>&)>&
           visitor);
 
+  /// Pins page `pid` once, walks its slot directory once (WalkSlots) and
+  /// hands each record to `visit(slot, bytes, len)` — a view into the
+  /// frame, valid only during the call — then unpins it once. `visit`
+  /// returns false to stop early.
+  template <typename Visit>
+  Status VisitPage(PageId pid, Visit&& visit) const {
+    DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetPage(pid));
+    Status walk = WalkSlots(*page, visit);
+    DBM_RETURN_NOT_OK(buffer_->Unpin(pid, false));
+    return walk;
+  }
+
   size_t record_count() const { return record_count_; }
   const std::vector<PageId>& pages() const { return pages_; }
 
@@ -58,6 +79,52 @@ class RecordFile {
   static constexpr size_t kMaxRecord = kPageSize - 4 - 2;
 
  private:
+  static constexpr size_t kHeader = 4;  // count + free offset
+
+  static uint16_t GetU16(const Page& page, size_t off) {
+    return static_cast<uint16_t>(page.bytes[off] |
+                                 (page.bytes[off + 1] << 8));
+  }
+
+  /// Walks `page`'s slot directory, calling `visit(slot, bytes, len)` for
+  /// each record in slot order; `visit` returns false to stop early. The
+  /// directory must satisfy free_offset ≤ kPageSize, every record must
+  /// lie below free_offset, and the length chain of a full walk must end
+  /// exactly at free_offset; otherwise the walk stops with DataLoss. The
+  /// records before the malformed slot have been visited by then, but
+  /// none ever reaches past free_offset.
+  template <typename Visit>
+  static Status WalkSlots(const Page& page, Visit&& visit) {
+    const size_t count = GetU16(page, 0);
+    const size_t free_off = GetU16(page, 2);
+    if (free_off > kPageSize) {
+      return Status::DataLoss("page " + std::to_string(page.id) +
+                              ": free offset past the page end");
+    }
+    size_t off = kHeader;
+    for (size_t s = 0; s < count; ++s) {
+      if (off + 2 > free_off) {
+        return Status::DataLoss("page " + std::to_string(page.id) +
+                                ": slot directory overruns the free offset");
+      }
+      const size_t len = GetU16(page, off);
+      off += 2;
+      if (len > free_off - off) {
+        return Status::DataLoss("page " + std::to_string(page.id) +
+                                ": record overruns the free offset");
+      }
+      if (!visit(static_cast<uint16_t>(s), page.bytes.data() + off, len)) {
+        return Status::OK();
+      }
+      off += len;
+    }
+    if (off != free_off) {
+      return Status::DataLoss("page " + std::to_string(page.id) +
+                              ": slot chain does not end at the free offset");
+    }
+    return Status::OK();
+  }
+
   BufferManager* buffer_;
   DiskComponent* disk_;
   std::vector<PageId> pages_;

@@ -59,9 +59,14 @@ class LruPolicy : public ReplacementPolicy {
   }
 
  private:
+  // A resident frame's node moves to the back in place (splice keeps the
+  // iterator valid), so the buffer's hit path never allocates.
   void Touch(size_t frame) {
     auto it = where_.find(frame);
-    if (it != where_.end()) order_.erase(it->second);
+    if (it != where_.end()) {
+      order_.splice(order_.end(), order_, it->second);
+      return;
+    }
     order_.push_back(frame);
     where_[frame] = std::prev(order_.end());
   }

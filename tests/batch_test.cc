@@ -471,7 +471,16 @@ TEST(BatchEngineTest, GroupByStringKeysEquivalence) {
 
 TEST(BatchEngineTest, PagedProbeEquivalence) {
   ScopedFaultSpec quiet("");
-  Relation rel = MakeMixed(4000, 23);
+  // Mixed rows with empty strings and nulls in the string column too, so
+  // the paged decoder meets every tag and zero-length payloads.
+  Relation mixed = MakeMixed(4000, 23);
+  Relation rel("mixed", mixed.schema());
+  for (size_t i = 0; i < mixed.rows().size(); ++i) {
+    Tuple t = mixed.rows()[i];
+    if (i % 11 == 0) t.values[2] = Value{std::string()};
+    if (i % 17 == 0) t.values[2] = Value{};
+    rel.InsertUnchecked(std::move(t));
+  }
 
   auto disk = std::make_shared<storage::DiskComponent>();
   auto policy = std::make_shared<storage::LruPolicy>();
@@ -481,20 +490,34 @@ TEST(BatchEngineTest, PagedProbeEquivalence) {
   buffer->FindPort("policy")->SetTarget(policy);
   auto paged = storage::PagedRelation::Load(rel, buffer.get(), disk.get());
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  auto page_rows = [&](size_t page) {
+    auto n = (*paged)->DecodePage(page,
+                                  [](size_t, const storage::FieldView&) {});
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    return n.ok() ? *n : 0;
+  };
+  ASSERT_LT(page_rows((*paged)->pages() - 1), page_rows(0))
+      << "the last page should be only partly filled";
 
-  ParallelPlan mem_plan;
-  mem_plan.probe.mem = &rel;
-  mem_plan.probe.filter = Lt(Col(0), Lit(Value{int64_t{60}}));
-  mem_plan.group_by = {3};
-  mem_plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
-  std::multiset<std::string> reference = Canon(SerialRows(mem_plan));
+  for (size_t group_col : {3u, 2u}) {
+    ParallelPlan mem_plan;
+    mem_plan.probe.mem = &rel;
+    mem_plan.probe.filter = Lt(Col(0), Lit(Value{int64_t{60}}));
+    mem_plan.group_by = {group_col};
+    mem_plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
+    std::multiset<std::string> reference = Canon(SerialRows(mem_plan));
 
-  ParallelPlan paged_plan = mem_plan;
-  paged_plan.probe.mem = nullptr;
-  paged_plan.probe.paged = paged->get();
-  ParallelOptions opt;
-  opt.morsel_pages = 2;
-  ExpectMatchesAtEveryDop(paged_plan, reference, opt);
+    ParallelPlan paged_plan = mem_plan;
+    paged_plan.probe.mem = nullptr;
+    paged_plan.probe.paged = paged->get();
+    for (size_t morsel_pages : {1u, 2u, 3u}) {
+      SCOPED_TRACE("group_col=" + std::to_string(group_col) +
+                   " morsel_pages=" + std::to_string(morsel_pages));
+      ParallelOptions opt;
+      opt.morsel_pages = morsel_pages;
+      ExpectMatchesAtEveryDop(paged_plan, reference, opt);
+    }
+  }
   EXPECT_TRUE(buffer->CheckInvariants().ok());
 }
 

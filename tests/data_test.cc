@@ -130,6 +130,18 @@ TEST(RelationTest, DeserializeRejectsTruncation) {
   EXPECT_FALSE(Relation::Deserialize(bytes).ok());
 }
 
+TEST(RelationTest, DeserializeRejectsUnknownTypeTag) {
+  // A row whose type byte names no ValueType is corrupt: skipping it
+  // would leave the row shorter than the schema.
+  Relation rel("r", Schema({{"x", ValueType::kInt}}));
+  rel.InsertUnchecked(Tuple({int64_t{5}}));
+  std::vector<uint8_t> bytes = rel.Serialize();
+  bytes[bytes.size() - 9] = 7;  // the row's type byte, before its u64
+  auto back = Relation::Deserialize(bytes);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsIoError()) << back.status().ToString();
+}
+
 TEST(RelationTest, GeneratorsAreDeterministic) {
   EXPECT_EQ(gen::People(50, 9).Serialize(), gen::People(50, 9).Serialize());
   EXPECT_NE(gen::People(50, 9).Serialize(), gen::People(50, 10).Serialize());

@@ -6,7 +6,8 @@
 //  * adaptive join operators agree with the reference under random
 //    arrival timings;
 //  * record files match a shadow model under random append/read
-//    workloads with tiny buffer pools.
+//    workloads with tiny buffer pools, and a bit flipped anywhere in a
+//    page's slot directory never makes a reader leave the frame.
 
 #include <gtest/gtest.h>
 
@@ -315,6 +316,81 @@ TEST_P(RecordFileFuzz, MatchesShadowUnderRandomWorkload) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecordFileFuzz,
                          ::testing::Values(9, 18, 27));
+
+TEST(RecordFileBitFlip, DirectoryFlipsNeverLeaveTheFrame) {
+  // One real page, then every bit of its header and of each slot length
+  // flipped in turn. Every reader returns ok or an error and hands out
+  // only bytes inside the frame; a flipped count or free offset is always
+  // DataLoss. One frame, so the frame is the pool's whole allocation and
+  // the sanitizers see any read past it.
+  Rng rng(4242);
+  auto disk = std::make_shared<storage::DiskComponent>();
+  auto policy = std::make_shared<storage::LruPolicy>();
+  storage::BufferManager buffer("buf", 1);
+  buffer.FindPort("disk")->SetTarget(disk);
+  buffer.FindPort("policy")->SetTarget(policy);
+  storage::RecordFile file(&buffer, disk.get());
+  size_t used = 4;
+  while (true) {
+    std::vector<uint8_t> rec(1 + rng.Uniform(300));
+    for (auto& b : rec) b = static_cast<uint8_t>(rng.Uniform(256));
+    if (used + 2 + rec.size() > storage::kPageSize) break;
+    ASSERT_TRUE(file.Append(rec).ok());
+    used += 2 + rec.size();
+  }
+  ASSERT_EQ(file.pages().size(), 1u);
+  const storage::PageId pid = file.pages()[0];
+  const uint16_t count = static_cast<uint16_t>(file.record_count());
+
+  // The test holds its own pin throughout, so the frame stays put.
+  auto page = buffer.GetPage(pid);
+  ASSERT_TRUE(page.ok());
+  uint8_t* frame = (*page)->bytes.data();
+  // Flip targets: the header's four bytes, then each slot's length.
+  std::vector<size_t> targets = {0, 1, 2, 3};
+  for (size_t off = 4, s = 0; s < count; ++s) {
+    targets.push_back(off);
+    targets.push_back(off + 1);
+    off += 2 + (frame[off] | (frame[off + 1] << 8));
+  }
+
+  for (size_t byte : targets) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                   std::to_string(bit));
+      frame[byte] ^= static_cast<uint8_t>(1u << bit);
+      const bool header = byte < 4;
+      for (uint16_t slot = 0; slot <= count; ++slot) {
+        auto rec = file.Read({pid, slot});
+        if (rec.ok()) {
+          EXPECT_LE(rec->size(), storage::RecordFile::kMaxRecord);
+        }
+        if (header) {
+          EXPECT_TRUE(rec.status().IsDataLoss()) << rec.status().ToString();
+        }
+      }
+      Status visit = file.VisitPage(
+          pid, [&](uint16_t, const uint8_t* bytes, size_t len) {
+            EXPECT_GE(bytes, frame);
+            EXPECT_LE(bytes + len, frame + storage::kPageSize);
+            return true;
+          });
+      Status scan = file.Scan(
+          [](const storage::RecordId&, const std::vector<uint8_t>& rec) {
+            EXPECT_LE(rec.size(), storage::RecordFile::kMaxRecord);
+            return true;
+          });
+      if (header) {
+        EXPECT_TRUE(visit.IsDataLoss()) << visit.ToString();
+        EXPECT_TRUE(scan.IsDataLoss()) << scan.ToString();
+      }
+      frame[byte] ^= static_cast<uint8_t>(1u << bit);
+    }
+  }
+  EXPECT_EQ(buffer.PinCount(pid), 1);  // every reader unpinned
+  ASSERT_TRUE(buffer.Unpin(pid, false).ok());
+  EXPECT_TRUE(buffer.CheckInvariants().ok());
+}
 
 }  // namespace
 }  // namespace dbm

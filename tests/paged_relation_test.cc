@@ -33,6 +33,20 @@ TEST(TupleCodecTest, RoundTripAllTypes) {
   EXPECT_FALSE(DecodeTuple(bytes, 4).ok());
 }
 
+TEST(TupleCodecTest, RejectsUnknownTypeTag) {
+  // A type byte outside the four ValueTypes is corrupt data: skipping it
+  // would decode fewer values than the arity promises.
+  auto lone = DecodeTuple({7}, 1);
+  ASSERT_FALSE(lone.ok());
+  EXPECT_TRUE(lone.status().IsIoError()) << lone.status().ToString();
+
+  std::vector<uint8_t> bytes = {9, 1};  // unknown tag, then an int
+  bytes.resize(10, 0);
+  auto mixed = DecodeTuple(bytes, 2);
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_TRUE(mixed.status().IsIoError()) << mixed.status().ToString();
+}
+
 TEST(PagedRelationTest, LoadScanRoundTrip) {
   Rig rig;
   data::Relation people = data::gen::People(500, 3);
@@ -77,6 +91,23 @@ TEST(PagedRelationTest, ReadAtCursorSemantics) {
   auto no_page = (*paged)->ReadAt(9999, 0);
   ASSERT_TRUE(no_page.ok());
   EXPECT_FALSE(no_page->has_value());
+
+  // DecodePage reads a whole page, values in column order row after row.
+  // Unlike the cursor, it treats an ordinal past the relation as a caller
+  // error rather than page exhaustion.
+  const size_t arity = people.schema().size();
+  size_t values = 0;
+  auto records = (*paged)->DecodePage(0, [&](size_t c, const FieldView&) {
+    EXPECT_EQ(c, values % arity);
+    ++values;
+  });
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_GT(*records, 0u);
+  EXPECT_EQ(values, *records * arity);
+  auto past_end = (*paged)->DecodePage((*paged)->pages(),
+                                       [](size_t, const FieldView&) {});
+  EXPECT_TRUE(past_end.status().IsInvalidArgument())
+      << past_end.status().ToString();
 }
 
 TEST(PagedSourceTest, QueryOverPagedDataMatchesMemSource) {

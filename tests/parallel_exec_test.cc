@@ -12,6 +12,7 @@
 
 #include "adapt/metrics.h"
 #include "common/rng.h"
+#include "obs/alloc_hook.h"
 #include "query/paged_source.h"
 #include "query/parallel.h"
 #include "storage/paged_relation.h"
@@ -321,6 +322,82 @@ TEST(ParallelExecTest, PagedScanMatchesMemScan) {
   ParallelOptions opt;
   opt.morsel_pages = 2;
   ExpectMatchesAtEveryDop(paged_plan, reference, opt);
+  EXPECT_TRUE(buffer->CheckInvariants().ok());
+}
+
+TEST(ParallelExecTest, PagedScanGetsEachPageOnceAndAllocatesNothing) {
+  // A paged morsel loads a page at a time: one getpage per page scanned
+  // (probe and build side alike), decoded straight into arena columns, so
+  // once the arenas are warm a probe morsel makes no operator-new call.
+  // The pool holds every page, so no miss path runs after the warm run.
+  obs::InstallCountingAllocator();
+  ASSERT_TRUE(obs::AllocCountingInstalled());
+  ScopedFaultSpec quiet("");
+  Relation orders = MakeOrders(20000, 300, 42);
+  Relation people = MakePeople(300, 43);
+
+  auto disk = std::make_shared<storage::DiskComponent>();
+  auto policy = std::make_shared<storage::LruPolicy>();
+  auto buffer = std::make_shared<storage::BufferManager>("buf", 512,
+                                                         /*shards=*/4);
+  buffer->FindPort("disk")->SetTarget(disk);
+  buffer->FindPort("policy")->SetTarget(policy);
+  auto paged_orders =
+      storage::PagedRelation::Load(orders, buffer.get(), disk.get());
+  ASSERT_TRUE(paged_orders.ok()) << paged_orders.status().ToString();
+  auto paged_people =
+      storage::PagedRelation::Load(people, buffer.get(), disk.get());
+  ASSERT_TRUE(paged_people.ok()) << paged_people.status().ToString();
+  const size_t probe_pages = (*paged_orders)->pages();
+  const size_t build_pages = (*paged_people)->pages();
+  ASSERT_LE(probe_pages + build_pages, buffer->frame_count());
+
+  ParallelPlan scan_agg;
+  scan_agg.probe.paged = paged_orders->get();
+  scan_agg.probe.filter = Gt(Col(1), Lit(int64_t{3}));
+  scan_agg.group_by = {3};  // tag
+  scan_agg.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 2, "s"}};
+
+  // Joined schema: people(id, grp, name) ++ orders(person_id, qty, val,
+  // tag).
+  ParallelPlan join_agg;
+  join_agg.probe.paged = paged_orders->get();
+  ParallelJoinStage stage;
+  stage.build.paged = paged_people->get();
+  stage.spec = JoinSpec{0, 0};
+  join_agg.joins.push_back(std::move(stage));
+  join_agg.group_by = {1};  // people.grp
+  join_agg.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kMax, 5, "max"}};
+
+  WorkerPool pool(8);
+  // Give every worker's scratch arena a chunk that holds a whole morsel,
+  // so the bar measures the load path rather than which worker the
+  // scheduler happened to leave idle during the warm run.
+  for (size_t w = 0; w < pool.size(); ++w) {
+    pool.ScratchArena(w).Allocate(size_t{4} << 20);
+    pool.ScratchArena(w).Reset();
+  }
+  const std::pair<const ParallelPlan*, size_t> cases[] = {
+      {&scan_agg, probe_pages}, {&join_agg, probe_pages + build_pages}};
+  for (const auto& [plan, pages] : cases) {
+    std::multiset<std::string> reference = Canon(SerialRows(*plan));
+    ASSERT_FALSE(reference.empty());
+    for (size_t dop : {1u, 2u, 4u, 8u}) {
+      ParallelOptions opt;
+      opt.dop = dop;
+      opt.pool = &pool;
+      std::vector<Tuple> warm;
+      ASSERT_TRUE(ExecuteParallel(*plan, &warm, opt).ok()) << "dop=" << dop;
+      const uint64_t gets_before = buffer->stats().gets;
+      std::vector<Tuple> out;
+      auto stats = ExecuteParallel(*plan, &out, opt);
+      ASSERT_TRUE(stats.ok()) << "dop=" << dop << ": "
+                              << stats.status().ToString();
+      EXPECT_EQ(buffer->stats().gets - gets_before, pages) << "dop=" << dop;
+      EXPECT_EQ(stats->steady_allocs, 0u) << "dop=" << dop;
+      EXPECT_EQ(Canon(out), reference) << "dop=" << dop;
+    }
+  }
   EXPECT_TRUE(buffer->CheckInvariants().ok());
 }
 

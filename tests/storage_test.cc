@@ -345,6 +345,50 @@ TEST(RecordFileTest, WorksWithTinyBufferPool) {
   EXPECT_GT(pool.buffer->stats().evictions, 0u);
 }
 
+TEST(RecordFileTest, RecordPastTheFrameIsDataLoss) {
+  // The directory says one record of 4094 bytes and a free offset of
+  // 4096: the record would end 4 bytes past the frame. Every reader must
+  // refuse the page as DataLoss before copying a byte of it. With one
+  // frame the frame is the pool's whole allocation, so ASan also reports
+  // any read past it.
+  Pool pool(1);
+  RecordFile file(pool.buffer.get(), pool.disk.get());
+  ASSERT_TRUE(file.Append({1, 2, 3}).ok());
+  const PageId pid = file.pages()[0];
+  {
+    auto page = pool.buffer->GetPage(pid);
+    ASSERT_TRUE(page.ok());
+    auto put_u16 = [&](size_t off, uint16_t v) {
+      (*page)->bytes[off] = static_cast<uint8_t>(v & 0xFF);
+      (*page)->bytes[off + 1] = static_cast<uint8_t>(v >> 8);
+    };
+    put_u16(0, 1);     // count
+    put_u16(2, 4096);  // free offset
+    put_u16(4, 4094);  // slot 0's length
+    ASSERT_TRUE(pool.buffer->Unpin(pid, true).ok());
+  }
+  auto read = file.Read({pid, 0});
+  EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+  Status scan = file.Scan(
+      [](const RecordId&, const std::vector<uint8_t>&) { return true; });
+  EXPECT_TRUE(scan.IsDataLoss()) << scan.ToString();
+  size_t visited = 0;
+  Status visit = file.VisitPage(pid, [&](uint16_t, const uint8_t*, size_t) {
+    ++visited;
+    return true;
+  });
+  EXPECT_TRUE(visit.IsDataLoss()) << visit.ToString();
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(pool.buffer->PinCount(pid), 0);
+
+  // Attach ends the relation's clean prefix at the malformed page.
+  ASSERT_TRUE(pool.buffer->FlushAll().ok());
+  RecordFile reattached(pool.buffer.get(), pool.disk.get());
+  ASSERT_TRUE(reattached.Attach().ok());
+  EXPECT_TRUE(reattached.pages().empty());
+  EXPECT_EQ(reattached.record_count(), 0u);
+}
+
 TEST(PolicySwapTest, BufferSurvivesPolicySwap) {
   // The adaptivity scenario: swap LRU for CLOCK mid-workload via the
   // transactional reconfigurer; the buffer keeps serving pages.
