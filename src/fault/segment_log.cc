@@ -275,8 +275,7 @@ Status SegmentLog::Append(std::string_view frame, uint64_t lsn,
   if (segments_.back().frames > 0 &&
       kSegmentHeaderBytes + segments_.back().bytes + frame.size() >
           options_.segment_bytes) {
-    if (options_.fsync_on_seal) DBM_RETURN_NOT_OK(Fsync());
-    Close();
+    DBM_RETURN_NOT_OK(Seal());
     if (Status opened = OpenSegment(); !opened.ok()) {
       dead_ = true;
       return opened;
@@ -341,8 +340,24 @@ Status SegmentLog::Fsync() {
   }
   ++fsyncs_;
   if (options_.fsync_counter != nullptr) options_.fsync_counter->Add(1);
-  durable_lsn_ = flushed_lsn_;
+  if (segments_.front().seq > unsynced_seal_seq_) durable_lsn_ = flushed_lsn_;
   bytes_since_fsync_ = 0;
+  return Status::OK();
+}
+
+Status SegmentLog::Seal() {
+  // Bytes since the last fsync mean the open segment holds frames it did
+  // not cover: that fsync reached the segment open at the time, and any
+  // later segment took a frame as it opened. Once closed, no later fsync
+  // reaches them.
+  if (bytes_since_fsync_ > 0) {
+    if (options_.fsync_on_seal) {
+      DBM_RETURN_NOT_OK(Fsync());
+    } else {
+      unsynced_seal_seq_ = segments_.back().seq;
+    }
+  }
+  Close();
   return Status::OK();
 }
 

@@ -35,7 +35,11 @@
 // Each frame may carry a codec-assigned sequence number — the WAL's LSN;
 // the black box numbers its frames from 1 in each process. The log keeps
 // the last one written (flushed) and the last one covered by an fsync
-// (durable): the durability barrier both codecs expose.
+// (durable): the durability barrier both codecs expose. An fsync reaches
+// only the open segment, so the barrier never passes a frame sealed into
+// a segment no fsync covered: a log that fsyncs at all (fsync_on_seal)
+// fsyncs such a segment as it seals it, and one that never does stops
+// its barrier before the first such frame.
 
 #ifndef DBM_FAULT_SEGMENT_LOG_H_
 #define DBM_FAULT_SEGMENT_LOG_H_
@@ -186,7 +190,10 @@ struct SegmentLogOptions {
   std::string dir;                    // created if absent
   size_t segment_bytes = 1 << 20;     // rotate before a frame passes this
   uint64_t fsync_interval_bytes = 0;  // fsync after this many (0: never)
-  bool fsync_on_seal = false;         // fsync each segment as it is sealed
+  /// The policy fsyncs at all: a seal fsyncs the segment it closes when
+  /// that segment holds frames no fsync covered. Off, the log never
+  /// fsyncs unasked, and sealing such a segment stops the barrier.
+  bool fsync_on_seal = false;
   std::string fault_point;            // consulted once per append
   const char* fsync_span = nullptr;   // storage-plane span per fsync
   obs::Counter* fsync_counter = nullptr;
@@ -218,7 +225,9 @@ class SegmentLog {
   Status Append(std::string_view frame, uint64_t lsn, SimTime at_us = 0);
 
   /// fsyncs the open segment and moves the durable barrier up to the
-  /// flushed one. On failure the log dies and the barrier stays.
+  /// flushed one — unless a live sealed segment holds frames no fsync
+  /// covered, which the barrier may not pass. On failure the log dies
+  /// and the barrier stays.
   Status Fsync();
 
   /// Unlinks sealed segments, oldest first, while `drop` says so; the
@@ -242,6 +251,9 @@ class SegmentLog {
   SegmentLog(const SegmentFormat& format, SegmentLogOptions options);
 
   Status OpenSegment();
+  /// Closes the open segment before a rotation, first fsyncing it if it
+  /// holds un-fsynced frames and fsync_on_seal is set.
+  Status Seal();
 
   const SegmentFormat format_;
   const SegmentLogOptions options_;
@@ -252,7 +264,8 @@ class SegmentLog {
   uint64_t flushed_lsn_ = 0;
   uint64_t durable_lsn_ = 0;
   uint64_t bytes_ = 0;
-  uint64_t bytes_since_fsync_ = 0;
+  uint64_t bytes_since_fsync_ = 0;  // > 0: the open segment is un-fsynced
+  uint64_t unsynced_seal_seq_ = 0;  // last segment sealed un-fsynced
   uint64_t fsyncs_ = 0;
   uint64_t segments_created_ = 0;
   bool dead_ = false;

@@ -54,7 +54,7 @@ Result<std::unique_ptr<TelemetryLog>> TelemetryLog::Open(
   if (options.fsync == FsyncPolicy::kInterval) {
     log_options.fsync_interval_bytes = options.fsync_interval_bytes;
   }
-  log_options.fsync_on_seal = options.fsync == FsyncPolicy::kRotate;
+  log_options.fsync_on_seal = options.fsync != FsyncPolicy::kNever;
   log_options.fault_point = "obs.blackbox.write";
   log_options.fsync_counter =
       &Registry::Default().GetCounter("blackbox.fsyncs");

@@ -13,8 +13,10 @@
 //
 // Durability is tunable per run with FsyncPolicy: kNever trusts the OS,
 // kInterval fsyncs every fsync_interval_bytes, kRotate fsyncs each
-// segment as it is sealed. The stats expose the *fsync barrier*
+// segment as it is sealed (kInterval too, when the segment holds frames
+// no fsync covered). The stats expose the *fsync barrier*
 // (stats().durable): the record count guaranteed readable after a crash.
+// Under kNever it stops below the first segment sealed un-fsynced.
 // Everything between the barrier and the ring is the "un-fsynced tail"
 // the acceptance criteria allow a crash to lose. A failed fsync kills
 // the log and leaves the barrier where it was.
@@ -51,7 +53,7 @@ namespace dbm::obs::blackbox {
 
 enum class FsyncPolicy : uint8_t {
   kNever,     // no explicit fsync; the OS flushes when it pleases
-  kInterval,  // fsync every fsync_interval_bytes of appended frames
+  kInterval,  // fsync every fsync_interval_bytes, and at a seal that needs it
   kRotate,    // fsync a segment once, as it is sealed at rotation
 };
 

@@ -37,7 +37,7 @@ BufferManager::BufferManager(std::string name, size_t frames, size_t shards)
       dirty_(frames, 0),
       resident_(frames, kInvalidPage),
       rec_lsn_(frames, 0),
-      page_lsn_(frames, 0) {
+      logged_lsn_(frames, 0) {
   DeclarePort("disk", "disk");
   DeclarePort("policy", "replacement-policy");
   pool_.resize(frames);
@@ -110,7 +110,7 @@ Result<Page*> BufferManager::GetPageInternal(PageId id, bool fresh) {
   shard.where[id] = frame;
   dirty_[frame] = 0;
   rec_lsn_[frame] = 0;
-  page_lsn_[frame] = 0;
+  logged_lsn_[frame] = 0;
   shard.pin_count[id] = 1;
   pinned_[frame] = 1;
   {
@@ -136,6 +136,8 @@ Status BufferManager::Unpin(PageId id, bool dirty) {
   size_t frame = it->second;
   if (dirty) {
     dirty_[frame] = 1;
+    // The image a writeback in flight logged is no longer this frame's.
+    logged_lsn_[frame] = 0;
     // The recovery horizon: the LSN a checkpoint's redo must reach back
     // to. Stamped at first dirtying, cleared by writeback.
     if (wal_ != nullptr && rec_lsn_[frame] == 0) {
@@ -151,7 +153,7 @@ Status BufferManager::FlushAll() {
   // Collect dirty frames first, then flush in ascending page-id order:
   // with a WAL attached the page file after a mid-flush crash is then a
   // clean prefix of the relation, never an arbitrary subset.
-  std::vector<std::pair<PageId, size_t>> dirty;
+  std::vector<Writeback> dirty;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -161,46 +163,78 @@ Status BufferManager::FlushAll() {
       // writeback here could snapshot a half-mutated image and stamp it
       // with a valid CRC — recovery would then trust a torn page.
       if (resident_[f] != kInvalidPage && dirty_[f] && !pinned_[f]) {
-        dirty.emplace_back(resident_[f], f);
+        dirty.push_back({.id = resident_[f], .frame = f});
       }
     }
   }
-  std::sort(dirty.begin(), dirty.end());
+  std::sort(dirty.begin(), dirty.end(),
+            [](const Writeback& a, const Writeback& b) { return a.id < b.id; });
+  return WriteBackGroup(disk, dirty, /*latched=*/nullptr);
+}
+
+Status BufferManager::WriteBackGroup(DiskComponent* disk,
+                                     std::span<Writeback> group,
+                                     Shard* latched) {
+  // Runs `step` under the shard latch of `wb`'s page, unless the caller
+  // already holds it.
+  auto under_latch = [&](const Writeback& wb, auto&& step) {
+    if (latched != nullptr) return step(*latched);
+    Shard& shard = ShardOf(wb.id);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    return step(shard);
+  };
+  // Still the page it was picked as, dirty, and free of pin holders.
+  auto eligible = [this](const Writeback& wb) {
+    return resident_[wb.frame] == wb.id && dirty_[wb.frame] &&
+           !pinned_[wb.frame];
+  };
   // Attempt every frame even after a failure and report the first error:
   // one bad write must not leave every later frame dirty.
   Status first_error = Status::OK();
-  for (const auto& [id, f] : dirty) {
-    Shard& shard = ShardOf(id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (resident_[f] != id || !dirty_[f] || pinned_[f]) {
-      continue;  // raced: evicted, flushed, or re-pinned
+  auto note = [&first_error](Status s) {
+    if (!s.ok() && first_error.ok()) first_error = std::move(s);
+  };
+  if (wal_ != nullptr) {
+    // WAL-before-writeback: log every image, pass the durability barrier
+    // once for the whole group, only then touch the page file. A crash
+    // between the two leaves torn slots whose durable images are already
+    // in the log — recovery repairs them; the reverse order could not.
+    Lsn last = 0;
+    for (Writeback& wb : group) {
+      note(under_latch(wb, [&](Shard&) -> Status {
+        if (!eligible(wb)) return Status::OK();  // raced: evicted or pinned
+        DBM_ASSIGN_OR_RETURN(wb.lsn,
+                             wal_->AppendPageImage(wb.id, pool_[wb.frame]));
+        logged_lsn_[wb.frame] = last = wb.lsn;
+        return Status::OK();
+      }));
     }
-    Status s = WriteBack(disk, f, shard);
-    if (!s.ok() && first_error.ok()) first_error = s;
+    if (last == 0) return first_error;
+    if (Status forced = wal_->Durable(last); !forced.ok()) {
+      note(std::move(forced));
+      return first_error;  // an unforced image must not reach the page
+    }
+  }
+  for (const Writeback& wb : group) {
+    note(under_latch(wb, [&](Shard& shard) -> Status {
+      // A frame evicted, re-pinned or re-dirtied since its image was
+      // logged stays dirty for the next flush: its slot must never carry
+      // an LSN whose logged image differs from the bytes written.
+      if (!eligible(wb) ||
+          (wal_ != nullptr &&
+           (wb.lsn == 0 || logged_lsn_[wb.frame] != wb.lsn))) {
+        return Status::OK();
+      }
+      DBM_RETURN_NOT_OK(disk->Write(wb.id, pool_[wb.frame], wb.lsn));
+      dirty_[wb.frame] = 0;
+      rec_lsn_[wb.frame] = 0;
+      logged_lsn_[wb.frame] = 0;
+      ++shard.stats.dirty_writebacks;
+      obs_writebacks_->Add(1);
+      return Status::OK();
+    }));
   }
   return first_error;
-}
-
-Status BufferManager::WriteBack(DiskComponent* disk, size_t frame,
-                                Shard& shard) {
-  PageId id = resident_[frame];
-  if (wal_ != nullptr) {
-    // WAL-before-writeback: append the image, pass the durability
-    // barrier, only then touch the page file. A crash between the two
-    // writes leaves a torn slot whose durable image is already in the
-    // log — recovery repairs it; the reverse order could not.
-    DBM_ASSIGN_OR_RETURN(Lsn lsn, wal_->AppendPageImage(id, pool_[frame]));
-    DBM_RETURN_NOT_OK(wal_->Durable(lsn));
-    DBM_RETURN_NOT_OK(disk->Write(id, pool_[frame], lsn));
-    page_lsn_[frame] = lsn;
-  } else {
-    DBM_RETURN_NOT_OK(disk->Write(id, pool_[frame]));
-  }
-  dirty_[frame] = 0;
-  rec_lsn_[frame] = 0;
-  ++shard.stats.dirty_writebacks;
-  obs_writebacks_->Add(1);
-  return Status::OK();
 }
 
 Status BufferManager::CheckpointWal() {
@@ -256,9 +290,12 @@ Result<size_t> BufferManager::FindFreeOrEvict(size_t shard_index,
   }
   PageId old = resident_[victim];
   if (dirty_[victim]) {
+    // A group of one, forced under the latch: the frame is reused the
+    // moment this returns.
     DBM_ASSIGN_OR_RETURN(DiskComponent * disk,
                          Require<DiskComponent>("disk"));
-    DBM_RETURN_NOT_OK(WriteBack(disk, victim, shard));
+    Writeback wb{.id = old, .frame = victim};
+    DBM_RETURN_NOT_OK(WriteBackGroup(disk, {&wb, 1}, &shard));
   }
   policy->OnEvict(victim);
   shard.where.erase(old);

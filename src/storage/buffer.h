@@ -6,6 +6,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -53,10 +54,15 @@ struct BufferStats {
 /// WAL-before-writeback — the page image is appended to the log and the
 /// durability barrier (Wal::Durable) passed *before* the disk write
 /// begins, so the log always covers the page file and a torn slot can
-/// always be repaired from a durable image. Each frame carries two LSNs:
-/// rec_lsn (first dirtying since the last writeback — the recovery
-/// horizon) and page_lsn (the image last written back). The WAL's mutex
-/// is ordered strictly after the shard latch, like policy_mu_.
+/// always be repaired from a durable image. One barrier covers a whole
+/// group of images (group commit): FlushAll logs every dirty frame, forces
+/// the log once, then writes the pages; eviction is a group of one. Each
+/// frame carries two LSNs: rec_lsn (first dirtying since the last
+/// writeback — the recovery horizon) and logged_lsn (the image a
+/// writeback in flight logged, cleared the moment the frame changes, so
+/// a page is only ever written under the LSN of identical logged bytes).
+/// The WAL's mutex is ordered strictly after the shard latch, like
+/// policy_mu_.
 class BufferManager : public component::Component {
  public:
   BufferManager(std::string name, size_t frames, size_t shards = 1);
@@ -83,7 +89,12 @@ class BufferManager : public component::Component {
   /// fails, then returns the first error — one bad sector must not leave
   /// every later frame dirty. With a WAL attached, frames flush in
   /// ascending page-id order so the page file after a mid-flush crash is
-  /// a clean prefix, not an arbitrary subset.
+  /// a clean prefix, not an arbitrary subset, and the flush group-commits:
+  /// every image is logged, the log forced once (one fsync at kCommit)
+  /// under no shard latch, and only then are the pages written. A frame
+  /// evicted, re-pinned or re-dirtied between its logging and its write
+  /// is not written; it stays dirty for the next flush. A failed force
+  /// writes no page.
   Status FlushAll();
 
   /// Attaches (or detaches, with nullptr) the write-ahead log. Attach
@@ -132,10 +143,25 @@ class BufferManager : public component::Component {
   /// instead of reading from disk.
   Result<Page*> GetPageInternal(PageId id, bool fresh);
 
-  /// Writes frame `frame` back to `disk` (WAL-before-writeback when a
-  /// log is attached) and clears its dirty state. Caller holds the shard
-  /// mutex of the frame's resident page.
-  Status WriteBack(DiskComponent* disk, size_t frame, Shard& shard);
+  /// One frame of a writeback group: the page it held when picked, and
+  /// the LSN its image was logged under (0 until logged).
+  struct Writeback {
+    PageId id = kInvalidPage;
+    size_t frame = 0;
+    Lsn lsn = 0;
+  };
+
+  /// The one WAL-before-writeback routine, for FlushAll's dirty set and
+  /// eviction's single victim, in `group` order: log each frame still
+  /// resident, dirty and unpinned (stamping logged_lsn), force the log
+  /// once, then write each frame whose stamp survived. `latched` is the
+  /// shard whose latch the caller holds (eviction, which forces under
+  /// it: the frame is reused the moment this returns); null takes each
+  /// frame's latch per step and holds none across the force. Without a
+  /// WAL only the write step runs. Attempts every frame and returns the
+  /// first error.
+  Status WriteBackGroup(DiskComponent* disk, std::span<Writeback> group,
+                        Shard* latched);
 
   size_t frames_;
   std::vector<Page> pool_;
@@ -144,8 +170,8 @@ class BufferManager : public component::Component {
   std::vector<char> pinned_;   // derived: pin_count > 0
   std::vector<char> dirty_;
   std::vector<PageId> resident_;
-  std::vector<Lsn> rec_lsn_;   // first dirtying since last writeback
-  std::vector<Lsn> page_lsn_;  // image last written back
+  std::vector<Lsn> rec_lsn_;     // first dirtying since last writeback
+  std::vector<Lsn> logged_lsn_;  // image logged by a writeback in flight
   Wal* wal_ = nullptr;         // not owned; may be null (volatile mode)
   std::vector<std::unique_ptr<Shard>> shards_;
 

@@ -142,6 +142,9 @@ Result<std::unique_ptr<Wal>> Wal::Open(WalOptions options) {
   if (options.fsync == WalFsyncPolicy::kInterval) {
     log_options.fsync_interval_bytes = options.fsync_interval_bytes;
   }
+  // A group-commit force covers every frame up to its LSN, across the
+  // segments the group was appended into.
+  log_options.fsync_on_seal = options.fsync != WalFsyncPolicy::kNever;
   log_options.fault_point = "storage.wal.append";
   log_options.fsync_span = "wal.fsync";
   log_options.fsync_counter =

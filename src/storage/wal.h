@@ -15,7 +15,12 @@
 // FsyncPolicy governs how the barrier advances: kNever (it trails until
 // an explicit Flush — the deterministic-test mode), kInterval (fsync
 // every fsync_interval_bytes), kCommit (Durable(lsn) fsyncs immediately,
-// so the WAL-before-writeback barrier is a real fsync per writeback).
+// so the WAL-before-writeback barrier is a real fsync per flush or per
+// eviction: BufferManager::FlushAll logs every dirty page, then forces
+// once). Under kInterval and kCommit a rotation fsyncs the segment it
+// seals if it holds un-fsynced frames, so one Durable covers every frame
+// up to its LSN across segments; under kNever the barrier stops before
+// the first frame sealed un-fsynced (fault/segment_log.h).
 //
 // Recovery is the torn-tail rule plus one codec check: an LSN that does
 // not exceed its predecessor — only a stale or spliced segment produces
@@ -138,10 +143,12 @@ class Wal {
   /// there instead of at the log's beginning).
   Result<Lsn> AppendCheckpoint(Lsn redo_lsn);
 
-  /// The WAL-before-writeback barrier: returns once the frame at `lsn`
-  /// is durable *per the policy*. kCommit fsyncs immediately; kInterval
-  /// and kNever return without forcing (their barrier trails — the
-  /// torn-tail rule still bounds what a crash can cost).
+  /// The WAL-before-writeback barrier: returns once the frame at `lsn`,
+  /// and every frame before it, is durable *per the policy*. kCommit
+  /// fsyncs immediately — one fsync however many frames it covers, and
+  /// none when an earlier one already did; kInterval and kNever return
+  /// without forcing (their barrier trails — the torn-tail rule still
+  /// bounds what a crash can cost).
   Status Durable(Lsn lsn);
 
   /// Unconditional fsync (clean shutdown, checkpoints).

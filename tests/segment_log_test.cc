@@ -50,6 +50,7 @@ class LogCodec {
   virtual void Close() = 0;
   virtual uint64_t flushed() const = 0;
   virtual uint64_t durable() const = 0;
+  virtual uint64_t fsyncs() const = 0;
   virtual bool dead() const = 0;
   virtual std::vector<std::string> SegmentPaths() const = 0;
   /// Reads `dir` back through the codec's own reader.
@@ -106,6 +107,7 @@ class WalCodec : public LogCodec {
   void Close() override { wal_.reset(); }
   uint64_t flushed() const override { return wal_->stats().flushed_lsn; }
   uint64_t durable() const override { return wal_->durable_lsn(); }
+  uint64_t fsyncs() const override { return wal_->stats().fsyncs; }
   bool dead() const override { return wal_->stats().dead; }
   std::vector<std::string> SegmentPaths() const override {
     return wal_->SegmentPaths();
@@ -170,6 +172,7 @@ class TelemetryCodec : public LogCodec {
   void Close() override { log_.reset(); }
   uint64_t flushed() const override { return log_->stats().flushed; }
   uint64_t durable() const override { return log_->stats().durable; }
+  uint64_t fsyncs() const override { return log_->stats().fsyncs; }
   bool dead() const override { return log_->stats().dead; }
   std::vector<std::string> SegmentPaths() const override {
     return log_->SegmentPaths();
@@ -483,6 +486,46 @@ TEST_P(SegmentLogTest, FailedFsyncKillsLogAndHoldsBarrier) {
   // Dead stays dead: no retried fsync, no further appends.
   EXPECT_FALSE(codec_->Flush().ok());
   EXPECT_FALSE(codec_->Append(4).ok());
+}
+
+// ---------------------------------------------------------------------
+// The durable barrier across rotations
+// ---------------------------------------------------------------------
+
+TEST_P(SegmentLogTest, BarrierNeverPassesASegmentNoFsyncReached) {
+  // An fsync reaches one segment, the open one, so a barrier reaching
+  // into the n-th two-frame segment needs n fsyncs behind it. Checked
+  // under the codec's own policy (the WAL never fsyncs unasked, the black
+  // box fsyncs each segment it seals) and under a byte interval of three
+  // frames, out of step with rotation.
+  for (size_t fsync_every : {0, 3}) {
+    SCOPED_TRACE("fsync every " + std::to_string(fsync_every) + " frames");
+    fs::remove_all(dir_);
+    ASSERT_TRUE(codec_->Open(dir_, /*segment_frames=*/2, fsync_every).ok());
+    auto expect_barrier_backed = [&] {
+      EXPECT_LE((codec_->durable() + 1) / 2, codec_->fsyncs())
+          << "barrier " << codec_->durable() << " after "
+          << codec_->fsyncs() << " fsyncs";
+    };
+    for (uint64_t id = 1; id <= 5; ++id) {
+      ASSERT_TRUE(codec_->Append(id).ok());
+      expect_barrier_backed();
+    }
+    ASSERT_EQ(codec_->SegmentPaths().size(), 3u);
+    ASSERT_TRUE(codec_->Flush().ok());
+    expect_barrier_backed();
+    if (fsync_every == 0 && GetParam() == Codec::kWal) {
+      // No fsync reached the two sealed segments: the barrier stays
+      // before their first frame, and no fsync was added to reach them.
+      EXPECT_EQ(codec_->fsyncs(), 1u);
+      EXPECT_EQ(codec_->durable(), 0u);
+    } else {
+      // Each seal fsynced the segment it closed, so the flush covers all.
+      EXPECT_EQ(codec_->fsyncs(), 3u);
+      EXPECT_EQ(codec_->durable(), 5u);
+    }
+    codec_->Close();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, SegmentLogTest,

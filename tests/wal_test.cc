@@ -1,18 +1,25 @@
 // Durable paged storage under test: the WAL codec, LSN resumption across
 // torn tails, segment rotation and truncation, fsync policies, the
 // file-backed disk's CRC slots, WAL-before-writeback, the FlushAll
-// error-reporting contract, and the headline property — an injected
-// crash mid-bulk-load recovers to an exactly-once durable prefix under
-// the chaos seeds. Checkpoint frames are fuzzed here; page-image frame
+// error-reporting contract, FlushAll's group commit under concurrent
+// writers, and the headline property — an injected crash
+// mid-bulk-load recovers to an exactly-once durable prefix under the
+// chaos seeds. Checkpoint frames are fuzzed here; page-image frame
 // fuzzing and the segment log's recovery rules run for both codecs in
 // segment_log_test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/relation.h"
@@ -58,6 +65,35 @@ class WalTest : public ::testing::Test {
     return p;
   }
 
+  /// Every page image in the log under WalDir(), by LSN.
+  std::map<Lsn, WalRecord> LoggedImages() const {
+    std::map<Lsn, WalRecord> images;
+    WalScanReport report;
+    EXPECT_TRUE(ScanWal(WalDir(),
+                        [&](const WalRecord& rec, const std::string&) {
+                          if (rec.type == WalRecordType::kPageImage) {
+                            images[rec.lsn] = rec;
+                          }
+                          return true;
+                        },
+                        &report)
+                    .ok());
+    return images;
+  }
+
+  /// Expects the slot written under `lsn` to hold exactly the bytes of
+  /// the page image the log carries under that LSN.
+  static void ExpectSlotIsLoggedImage(const std::map<Lsn, WalRecord>& images,
+                                      PageId id, Lsn lsn, const Page& slot) {
+    auto it = images.find(lsn);
+    ASSERT_NE(it, images.end()) << "page " << id << " slot LSN " << lsn
+                                << " names no logged image";
+    EXPECT_EQ(it->second.page, id) << "LSN " << lsn;
+    EXPECT_TRUE(std::equal(slot.bytes.begin(), slot.bytes.end(),
+                           it->second.image.begin()))
+        << "page " << id << " slot differs from its image at LSN " << lsn;
+  }
+
   std::filesystem::path base_;
 };
 
@@ -71,13 +107,14 @@ struct DurableRig {
 
   static Result<DurableRig> Make(const std::string& page_path,
                                  const std::string& wal_dir, size_t frames,
-                                 WalOptions wal_options = {}) {
+                                 WalOptions wal_options = {},
+                                 size_t shards = 1) {
     DurableRig rig;
     DBM_ASSIGN_OR_RETURN(auto disk, FileDiskComponent::Open(page_path));
     rig.disk = std::move(disk);
     wal_options.dir = wal_dir;
     DBM_ASSIGN_OR_RETURN(rig.wal, Wal::Open(wal_options));
-    rig.buffer = std::make_shared<BufferManager>("buf", frames);
+    rig.buffer = std::make_shared<BufferManager>("buf", frames, shards);
     rig.buffer->FindPort("disk")->SetTarget(rig.disk);
     rig.buffer->FindPort("policy")->SetTarget(std::make_shared<LruPolicy>());
     rig.buffer->SetWal(rig.wal.get());
@@ -775,6 +812,257 @@ TEST_F(WalTest, CheckpointWalSyncsPageFileBeforeTruncatingSegments) {
   // The barrier ran while every dead segment was still on disk.
   EXPECT_EQ(disk->segments_at_last_sync(), before);
   buffer->SetWal(nullptr);
+}
+
+// ---------------------------------------------------------------------
+// Group commit: FlushAll logs every dirty frame, forces the log once,
+// then writes the pages.
+// ---------------------------------------------------------------------
+
+TEST_F(WalTest, FlushAllForcesTheLogOnce) {
+  WalOptions options;
+  options.fsync = WalFsyncPolicy::kCommit;
+  auto rig = DurableRig::Make(PagePath(), WalDir(), 8, options);
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  for (PageId id = 0; id < 8; ++id) {
+    ASSERT_EQ(rig->disk->Allocate(), id);
+    auto page = rig->buffer->GetFreshPage(id);
+    ASSERT_TRUE(page.ok());
+    (*page)->bytes.fill(uint8_t(0x30 + id));
+    ASSERT_TRUE(rig->buffer->Unpin(id, true).ok());
+  }
+  const uint64_t fsyncs = rig->wal->stats().fsyncs;
+  ASSERT_TRUE(rig->buffer->FlushAll().ok());
+  EXPECT_EQ(rig->wal->stats().fsyncs, fsyncs + 1);  // not one per page
+  EXPECT_EQ(rig->wal->stats().appends, 8u);
+  EXPECT_EQ(rig->disk->writes(), 8u);
+  const std::map<Lsn, WalRecord> images = LoggedImages();
+  for (PageId id = 0; id < 8; ++id) {
+    Page slot;
+    ASSERT_TRUE(rig->disk->Read(id, &slot).ok());
+    EXPECT_EQ(slot.bytes[0], uint8_t(0x30 + id));
+    ExpectSlotIsLoggedImage(images, id, rig->disk->PageLsn(id), slot);
+  }
+}
+
+TEST_F(WalTest, FlushAllGroupSpanningRotationsRecovers) {
+  WalOptions options;
+  options.segment_bytes = 2 * 4200;  // two images a segment
+  options.fsync = WalFsyncPolicy::kCommit;
+  {
+    auto rig = DurableRig::Make(PagePath(), WalDir(), 8, options);
+    ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+    for (PageId id = 0; id < 6; ++id) {
+      ASSERT_EQ(rig->disk->Allocate(), id);
+      auto page = rig->buffer->GetFreshPage(id);
+      ASSERT_TRUE(page.ok());
+      (*page)->bytes.fill(uint8_t(0x50 + id));
+      ASSERT_TRUE(rig->buffer->Unpin(id, true).ok());
+    }
+    ASSERT_TRUE(rig->buffer->FlushAll().ok());
+    const WalStats stats = rig->wal->stats();
+    EXPECT_EQ(stats.segments_created, 3u);
+    // The force fsyncs only the open segment, so each seal on the way
+    // fsynced the segment it closed: one fsync per segment, and the
+    // barrier covers the whole group.
+    EXPECT_EQ(stats.fsyncs, 3u);
+    EXPECT_EQ(stats.durable_lsn, stats.flushed_lsn);
+    rig->buffer->SetWal(nullptr);
+  }  // the pool is dropped: no checkpoint, no clean shutdown of the store
+
+  auto disk = FileDiskComponent::Open(PagePath());
+  ASSERT_TRUE(disk.ok());
+  auto report = Recover(disk->get(), WalDir(), nullptr);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->truncated);
+  EXPECT_EQ(report->frames_scanned, 6u);
+  for (PageId id = 0; id < 6; ++id) {
+    Page p;
+    ASSERT_TRUE((*disk)->Read(id, &p).ok()) << "page " << id;
+    EXPECT_EQ(p.bytes[0], uint8_t(0x50 + id));
+    EXPECT_EQ(p.bytes[kPageSize - 1], uint8_t(0x50 + id));
+  }
+}
+
+/// An in-memory disk that keeps the LSN each slot was last written under
+/// and can run a hook inside its next write of one page: another thread
+/// acting between FlushAll's log and write steps, made deterministic.
+class HookDisk : public DiskComponent {
+ public:
+  Status Write(PageId id, const Page& page, uint64_t lsn = 0) override {
+    DBM_RETURN_NOT_OK(DiskComponent::Write(id, page, lsn));
+    slot_lsn_[id] = lsn;
+    if (id == hook_page_ && hook_) std::exchange(hook_, nullptr)();
+    return Status::OK();
+  }
+  void OnNextWrite(PageId id, std::function<void()> hook) {
+    hook_page_ = id;
+    hook_ = std::move(hook);
+  }
+  Lsn SlotLsn(PageId id) const { return slot_lsn_.at(id); }
+
+ private:
+  std::map<PageId, Lsn> slot_lsn_;
+  PageId hook_page_ = kInvalidPage;
+  std::function<void()> hook_;
+};
+
+TEST_F(WalTest, FlushAllNeverWritesAFrameChangedSinceItWasLogged) {
+  auto wal = Wal::Open({.dir = WalDir(), .fsync = WalFsyncPolicy::kCommit});
+  ASSERT_TRUE(wal.ok());
+  auto disk = std::make_shared<HookDisk>();
+  // Two shards: page 0's write holds shard 0's latch, and page 1 lives
+  // in shard 1, so the hook can pin page 1 mid-flush.
+  auto buffer = std::make_shared<BufferManager>("buf", 4, /*shards=*/2);
+  buffer->FindPort("disk")->SetTarget(disk);
+  buffer->FindPort("policy")->SetTarget(std::make_shared<LruPolicy>());
+  buffer->SetWal(wal->get());
+  auto dirty_both = [&](uint8_t fill) {
+    for (PageId id = 0; id < 2; ++id) {
+      auto page = buffer->GetPage(id);
+      ASSERT_TRUE(page.ok());
+      (*page)->bytes.fill(fill);
+      ASSERT_TRUE(buffer->Unpin(id, true).ok());
+    }
+  };
+  for (PageId id = 0; id < 2; ++id) ASSERT_EQ(disk->Allocate(), id);
+  dirty_both(0x11);
+  ASSERT_TRUE(buffer->FlushAll().ok());
+
+  // Both pages dirty again. Page 0's write re-pins page 1, changes it and
+  // unpins it dirty: after page 1's image was logged, before its write.
+  dirty_both(0x22);
+  disk->OnNextWrite(0, [&] {
+    auto page = buffer->GetPage(1);
+    ASSERT_TRUE(page.ok());
+    (*page)->bytes.fill(0x33);
+    ASSERT_TRUE(buffer->Unpin(1, true).ok());
+  });
+  const uint64_t writebacks = buffer->stats().dirty_writebacks;
+  ASSERT_TRUE(buffer->FlushAll().ok());
+  EXPECT_EQ(buffer->stats().dirty_writebacks, writebacks + 1);  // page 0
+  Page slot;
+  ASSERT_TRUE(disk->Read(1, &slot).ok());
+  EXPECT_EQ(slot.bytes[0], 0x11);  // the first flush's image, untouched
+  ExpectSlotIsLoggedImage(LoggedImages(), 1, disk->SlotLsn(1), slot);
+
+  // Page 1 stayed dirty: the next flush writes its latest bytes.
+  ASSERT_TRUE(buffer->FlushAll().ok());
+  EXPECT_EQ(buffer->stats().dirty_writebacks, writebacks + 2);
+  ASSERT_TRUE(disk->Read(1, &slot).ok());
+  EXPECT_EQ(slot.bytes[0], 0x33);
+  ExpectSlotIsLoggedImage(LoggedImages(), 1, disk->SlotLsn(1), slot);
+  buffer->SetWal(nullptr);
+}
+
+TEST_F(WalTest, ConcurrentFlushAndCheckpointWriteOnlyLoggedImages) {
+  // 16 pages over 8 frames in 4 shards: three writers evict one
+  // another's pages all the time, one thread loops FlushAll and one
+  // loops CheckpointWal. The segment is large enough that no checkpoint
+  // truncates, so every image a slot names stays readable.
+  constexpr PageId kPages = 16;
+  constexpr PageId kWriters = 3;
+  constexpr int kUpdatesPerWriter = 150;
+  constexpr size_t kTail = kPageSize - sizeof(uint64_t);
+  WalOptions options;
+  options.segment_bytes = size_t{1} << 30;
+  options.fsync = WalFsyncPolicy::kCommit;
+  auto rig = DurableRig::Make(PagePath(), WalDir(), 8, options, /*shards=*/4);
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  BufferManager* buffer = rig->buffer.get();
+  // A page carries its counter at both ends: an image logged while its
+  // writer was mid-update would show two values.
+  auto set_counter = [](Page* page, uint64_t v) {
+    std::memcpy(page->bytes.data(), &v, sizeof v);
+    std::memcpy(page->bytes.data() + kTail, &v, sizeof v);
+  };
+  auto ends = [](const uint8_t* bytes) {
+    uint64_t head = 0, tail = 0;
+    std::memcpy(&head, bytes, sizeof head);
+    std::memcpy(&tail, bytes + kTail, sizeof tail);
+    return std::pair(head, tail);
+  };
+  for (PageId id = 0; id < kPages; ++id) {
+    ASSERT_EQ(rig->disk->Allocate(), id);
+    auto page = buffer->GetFreshPage(id);
+    ASSERT_TRUE(page.ok());
+    set_counter(*page, 0);
+    ASSERT_TRUE(buffer->Unpin(id, true).ok());
+  }
+  ASSERT_TRUE(buffer->FlushAll().ok());
+
+  // Writer w owns the pages p ≡ w (mod kWriters): one pin holder a page.
+  std::vector<uint64_t> last(kPages, 0);
+  std::atomic<PageId> writers_left{kWriters};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (PageId w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::vector<PageId> mine;
+      for (PageId id = w; id < kPages; id += kWriters) mine.push_back(id);
+      std::mt19937 rng(w + 1);
+      for (int i = 0; i < kUpdatesPerWriter; ++i) {
+        const PageId id = mine[rng() % mine.size()];
+        auto page = buffer->GetPage(id);
+        // The other writers may hold both frames of this page's shard.
+        while (page.status().code() == StatusCode::kResourceExhausted) {
+          std::this_thread::yield();
+          page = buffer->GetPage(id);
+        }
+        if (!page.ok()) {
+          failed = true;
+          break;
+        }
+        set_counter(*page, ++last[id]);
+        if (!buffer->Unpin(id, true).ok()) failed = true;
+      }
+      --writers_left;
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_left > 0) {
+      if (!buffer->FlushAll().ok()) failed = true;
+    }
+  });
+  threads.emplace_back([&] {
+    while (writers_left > 0) {
+      if (!buffer->CheckpointWal().ok()) failed = true;
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  ASSERT_FALSE(failed);
+
+  // Every logged image is whole, and every slot is exactly the image its
+  // LSN names.
+  const std::map<Lsn, WalRecord> images = LoggedImages();
+  for (const auto& [lsn, rec] : images) {
+    const auto [head, tail] = ends(rec.image.data());
+    EXPECT_EQ(head, tail) << "torn image of page " << rec.page << " at LSN "
+                          << lsn;
+  }
+  for (PageId id = 0; id < kPages; ++id) {
+    Page slot;
+    ASSERT_TRUE(rig->disk->Read(id, &slot).ok());
+    ExpectSlotIsLoggedImage(images, id, rig->disk->PageLsn(id), slot);
+  }
+
+  // A final flush, then the store is dropped without a checkpoint:
+  // recovery brings every page back at its last value.
+  ASSERT_TRUE(buffer->FlushAll().ok());
+  rig->buffer->SetWal(nullptr);
+  rig->buffer.reset();
+  rig->wal.reset();
+  rig->disk.reset();
+  auto disk = FileDiskComponent::Open(PagePath());
+  ASSERT_TRUE(disk.ok());
+  auto report = Recover(disk->get(), WalDir(), nullptr);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (PageId id = 0; id < kPages; ++id) {
+    Page page;
+    ASSERT_TRUE((*disk)->Read(id, &page).ok()) << "page " << id;
+    EXPECT_EQ(ends(page.bytes.data()), std::pair(last[id], last[id]))
+        << "page " << id;
+  }
 }
 
 // ---------------------------------------------------------------------
