@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <set>
 
+#include "common/payload_reader.h"
 #include "common/strings.h"
+#include "data/tuple_codec.h"
 
 namespace dbm::data {
 
@@ -198,35 +199,19 @@ void PutString(std::vector<uint8_t>* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->insert(out->end(), s.begin(), s.end());
 }
-
-struct Reader {
-  const std::vector<uint8_t>& bytes;
-  size_t pos = 0;
-
-  Result<uint32_t> U32() {
-    if (pos + 4 > bytes.size()) return Status::IoError("truncated u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes[pos++]) << (8 * i);
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (pos + 8 > bytes.size()) return Status::IoError("truncated u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes[pos++]) << (8 * i);
-    return v;
-  }
-  Result<std::string> String() {
-    DBM_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (pos + len > bytes.size()) return Status::IoError("truncated string");
-    std::string s(bytes.begin() + static_cast<long>(pos),
-                  bytes.begin() + static_cast<long>(pos + len));
-    pos += len;
-    return s;
-  }
-};
+bool GetString(PayloadReader* in, std::string* s) {
+  uint32_t n = 0;
+  std::string_view bytes;
+  if (!in->Le(&n) || !in->Bytes(n, &bytes)) return false;
+  s->assign(bytes);
+  return true;
+}
 
 }  // namespace
 
+// Layout: the name, the u32 column count, each column's name and type
+// byte, the u64 row count, then every row in the tagged-value format
+// (data/tuple_codec.h), rows back to back.
 std::vector<uint8_t> Relation::Serialize() const {
   std::vector<uint8_t> out;
   PutString(&out, name_);
@@ -236,95 +221,57 @@ std::vector<uint8_t> Relation::Serialize() const {
     out.push_back(static_cast<uint8_t>(f.type));
   }
   PutU64(&out, rows_.size());
-  for (const Tuple& row : rows_) {
-    for (const Value& v : row.values) {
-      out.push_back(static_cast<uint8_t>(TypeOf(v)));
-      switch (TypeOf(v)) {
-        case ValueType::kNull:
-          break;
-        case ValueType::kInt:
-          PutU64(&out, static_cast<uint64_t>(std::get<int64_t>(v)));
-          break;
-        case ValueType::kDouble: {
-          double d = std::get<double>(v);
-          uint64_t bits;
-          std::memcpy(&bits, &d, sizeof(bits));
-          PutU64(&out, bits);
-          break;
-        }
-        case ValueType::kString:
-          PutString(&out, std::get<std::string>(v));
-          break;
-      }
-    }
-  }
+  const size_t head = out.size();
+  out.resize(head + PayloadBytes());
+  uint8_t* at = out.data() + head;
+  for (const Tuple& row : rows_) at = EncodeTo(row, at);
   return out;
 }
 
+// Trusts nothing: a state blob or a shipped version may be corrupt. A
+// column type outside ValueType and bytes after the last row are IoError
+// (like a bad value tag), and every row must match the schema.
 Result<Relation> Relation::Deserialize(const std::vector<uint8_t>& bytes) {
-  Reader r{bytes};
-  DBM_ASSIGN_OR_RETURN(std::string name, r.String());
-  DBM_ASSIGN_OR_RETURN(uint32_t ncols, r.U32());
+  PayloadReader in(
+      {reinterpret_cast<const char*>(bytes.data()), bytes.size()});
+  std::string name;
+  uint32_t ncols = 0;
+  if (!GetString(&in, &name)) return Status::IoError("truncated string");
+  if (!in.Le(&ncols)) return Status::IoError("truncated u32");
   std::vector<Field> fields;
   for (uint32_t i = 0; i < ncols; ++i) {
     Field f;
-    DBM_ASSIGN_OR_RETURN(f.name, r.String());
-    if (r.pos >= bytes.size()) return Status::IoError("truncated type");
-    f.type = static_cast<ValueType>(bytes[r.pos++]);
+    uint8_t type = 0;
+    if (!GetString(&in, &f.name)) return Status::IoError("truncated string");
+    if (!in.Le(&type)) return Status::IoError("truncated type");
+    if (type > static_cast<uint8_t>(ValueType::kString)) {
+      return Status::IoError("unknown column type " + std::to_string(type));
+    }
+    f.type = static_cast<ValueType>(type);
     fields.push_back(std::move(f));
   }
-  Relation rel(name, Schema(std::move(fields)));
-  DBM_ASSIGN_OR_RETURN(uint64_t nrows, r.U64());
-  for (uint64_t i = 0; i < nrows; ++i) {
+  uint64_t nrows = 0;
+  if (!in.Le(&nrows)) return Status::IoError("truncated u64");
+  Relation rel(std::move(name), Schema(std::move(fields)));
+  const uint8_t* at = bytes.data() + (bytes.size() - in.remaining());
+  const uint8_t* const end = bytes.data() + bytes.size();
+  for (uint64_t r = 0; r < nrows; ++r) {
     Tuple row;
-    for (uint32_t c = 0; c < ncols; ++c) {
-      if (r.pos >= bytes.size()) return Status::IoError("truncated value");
-      auto vt = static_cast<ValueType>(bytes[r.pos++]);
-      switch (vt) {
-        case ValueType::kNull:
-          row.values.emplace_back();
-          break;
-        case ValueType::kInt: {
-          DBM_ASSIGN_OR_RETURN(uint64_t bits, r.U64());
-          row.values.emplace_back(static_cast<int64_t>(bits));
-          break;
-        }
-        case ValueType::kDouble: {
-          DBM_ASSIGN_OR_RETURN(uint64_t bits, r.U64());
-          double d;
-          std::memcpy(&d, &bits, sizeof(d));
-          row.values.emplace_back(d);
-          break;
-        }
-        case ValueType::kString: {
-          DBM_ASSIGN_OR_RETURN(std::string s, r.String());
-          row.values.emplace_back(std::move(s));
-          break;
-        }
-        default:
-          return Status::IoError("unknown value type tag " +
-                                 std::to_string(bytes[r.pos - 1]));
-      }
-    }
-    rel.InsertUnchecked(std::move(row));
+    size_t used = 0;
+    DBM_RETURN_NOT_OK(DecodeValues(
+        at, static_cast<size_t>(end - at), ncols,
+        [&](size_t, const FieldView& f) { row.values.push_back(ToValue(f)); },
+        &used));
+    at += used;
+    DBM_RETURN_NOT_OK(rel.Insert(std::move(row)));
   }
+  if (at != end) return Status::IoError("trailing bytes after the last row");
   return rel;
 }
 
 size_t Relation::PayloadBytes() const {
   size_t bytes = 0;
-  for (const Tuple& row : rows_) {
-    for (const Value& v : row.values) {
-      switch (TypeOf(v)) {
-        case ValueType::kNull: bytes += 1; break;
-        case ValueType::kInt:
-        case ValueType::kDouble: bytes += 9; break;
-        case ValueType::kString:
-          bytes += 5 + std::get<std::string>(v).size();
-          break;
-      }
-    }
-  }
+  for (const Tuple& row : rows_) bytes += EncodedSize(row);
   return bytes;
 }
 

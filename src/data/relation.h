@@ -134,11 +134,16 @@ class Relation {
   /// lower-quality version" materialisation.
   Relation Sample(double fraction, uint64_t seed) const;
 
-  /// Byte-serialisation (versions, codecs, and network transfer sizing).
+  /// Byte-serialisation (versions, codecs, and network transfer sizing):
+  /// name, schema and row count, then the rows in the tagged-value format
+  /// (data/tuple_codec.h). Deserialize rejects a column type outside
+  /// ValueType and bytes after the last row (IoError), and a row that
+  /// does not match the schema (CheckTuple's error).
   std::vector<uint8_t> Serialize() const;
   static Result<Relation> Deserialize(const std::vector<uint8_t>& bytes);
 
-  /// Approximate in-memory payload size in bytes.
+  /// Bytes the rows take in the tagged-value format — Serialize's row
+  /// section.
   size_t PayloadBytes() const;
 
  private:

@@ -9,6 +9,7 @@
 #include <optional>
 
 #include "common/crc32.h"
+#include "common/payload_reader.h"
 #include "fault/injector.h"
 #include "fault/log.h"
 #include "obs/metrics.h"

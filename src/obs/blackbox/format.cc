@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "common/payload_reader.h"
+
 namespace dbm::obs::blackbox {
 
 namespace {
@@ -15,7 +17,7 @@ void PutText(std::string* out, const char* s, size_t cap) {
   out->append(s, n);
 }
 
-bool GetText(fault::PayloadReader* in, char* dst, size_t cap) {
+bool GetText(PayloadReader* in, char* dst, size_t cap) {
   uint8_t len = 0;
   std::string_view text;
   if (!in->Le(&len) || len >= cap || !in->Bytes(len, &text)) return false;
@@ -24,7 +26,7 @@ bool GetText(fault::PayloadReader* in, char* dst, size_t cap) {
   return true;
 }
 
-bool GetDouble(fault::PayloadReader* in, double* v) {
+bool GetDouble(PayloadReader* in, double* v) {
   uint64_t bits = 0;
   if (!in->Le(&bits)) return false;
   *v = std::bit_cast<double>(bits);
@@ -32,7 +34,7 @@ bool GetDouble(fault::PayloadReader* in, double* v) {
 }
 
 bool DecodePayload(std::string_view payload, TelemetryRecord* rec) {
-  fault::PayloadReader in(payload);
+  PayloadReader in(payload);
   TelemetryRecord out;
   uint64_t at = 0;
   if (!in.Le(&out.kind) || !in.Le(&out.trace_id.hi) ||

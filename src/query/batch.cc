@@ -313,7 +313,7 @@ Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
   // its tag's array and zero placeholders into the others. String
   // payloads view the pinned frame, so they are copied into the scratch
   // arena, which outlives the pin.
-  auto sink = [&](size_t c, const storage::FieldView& f) {
+  auto sink = [&](size_t c, const data::FieldView& f) {
     ColBuild& col = build[c];
     col.tags.PushBack(static_cast<uint8_t>(f.type));
     col.ints.PushBack(f.i);

@@ -3,92 +3,36 @@
 // The in-memory Relation is the convenient form; PagedRelation is the
 // same data living in a RecordFile, so scans exercise the getpage path —
 // queries run against the fine-grained storage components rather than a
-// vector. Tuples are encoded per-row with the same tagged-value format
-// the Relation serialiser uses, and DecodeRecord is that format's one
-// parser: DecodeTuple builds a Tuple on it for point reads, and
-// DecodePage runs it over every record of a pinned frame, so a paged scan
-// loads a page with one getpage and no per-row copy — and callers never
-// see the record format.
+// vector. Each tuple is one record in the tagged-value format
+// (data/tuple_codec.h), the same bytes Relation::Serialize writes per
+// row. Writes take one path: AppendBatch checks every tuple, then
+// RecordFile::AppendRecords encodes them straight into the pinned tail
+// page (EncodedSize/EncodeTo) — Append is a batch of one and Load one
+// batch, so a bulk load makes one getpage per page. Reads decode with the
+// codec's one parser: DecodeTuple builds a Tuple for point reads, and
+// DecodePage runs DecodeRecord over every record of a pinned frame, so a
+// paged scan loads a page with one getpage and no per-row copy — and
+// callers never see the record format.
 
 #ifndef DBM_STORAGE_PAGED_RELATION_H_
 #define DBM_STORAGE_PAGED_RELATION_H_
 
-#include <bit>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <string_view>
 
 #include "data/relation.h"
-#include "fault/segment_log.h"
+#include "data/tuple_codec.h"
 #include "storage/record_file.h"
 
 namespace dbm::storage {
 
-/// Encodes one tuple (schema-less tagged values): per value a type byte
-/// (data::ValueType), then nothing for null, a little-endian u64 for int
-/// and double, or a little-endian u32 length and the bytes for a string.
+/// One tuple's record bytes as a vector (data::EncodeTo), for callers
+/// that want the bytes themselves (perfbench sizes rows with it); the
+/// write path encodes straight into the frame instead.
 std::vector<uint8_t> EncodeTuple(const data::Tuple& tuple);
-
-/// One decoded value: `type` says which payload is live (the others stay
-/// zero). A string payload views the record bytes and lives only as long
-/// as they do.
-struct FieldView {
-  data::ValueType type = data::ValueType::kNull;
-  int64_t i = 0;
-  double d = 0;
-  std::string_view s;
-};
-
-/// The one parser of the tagged-value format: decodes `arity` values from
-/// the record bytes [rec, rec + len), calling `sink(column, field)` once
-/// per value in column order. A truncated value, an unknown type tag or
-/// bytes left over after the last value is IoError; the values before it
-/// have already reached the sink by then.
-template <typename Sink>
-Status DecodeRecord(const uint8_t* rec, size_t len, size_t arity,
-                    Sink&& sink) {
-  using data::ValueType;
-  fault::PayloadReader in({reinterpret_cast<const char*>(rec), len});
-  for (size_t c = 0; c < arity; ++c) {
-    uint8_t tag = 0;
-    if (!in.Le(&tag)) return Status::IoError("truncated tuple");
-    FieldView f;
-    f.type = static_cast<ValueType>(tag);
-    switch (f.type) {
-      case ValueType::kNull:
-        break;
-      case ValueType::kInt:
-        if (!in.Le(&f.i)) return Status::IoError("truncated u64");
-        break;
-      case ValueType::kDouble: {
-        uint64_t bits = 0;
-        if (!in.Le(&bits)) return Status::IoError("truncated u64");
-        f.d = std::bit_cast<double>(bits);
-        break;
-      }
-      case ValueType::kString: {
-        uint32_t n = 0;
-        if (!in.Le(&n)) return Status::IoError("truncated u32");
-        if (!in.Bytes(n, &f.s)) {
-          return Status::IoError("truncated string value");
-        }
-        break;
-      }
-      default:
-        return Status::IoError("unknown value type tag " +
-                               std::to_string(tag));
-    }
-    sink(c, f);
-  }
-  if (!in.done()) return Status::IoError("trailing bytes after tuple");
-  return Status::OK();
-}
-
-/// Decodes a tuple with `arity` values (DecodeRecord into Values).
-Result<data::Tuple> DecodeTuple(const std::vector<uint8_t>& bytes,
-                                size_t arity);
 
 class PagedRelation {
  public:
@@ -111,8 +55,14 @@ class PagedRelation {
   size_t rows() const { return file_->record_count(); }
   size_t pages() const { return file_->pages().size(); }
 
-  /// Appends one (type-checked) tuple.
-  Status Append(const data::Tuple& tuple);
+  /// Appends `tuples` in order (RecordFile::AppendRecords). Every tuple
+  /// is type-checked (CheckTuple) and sized against the page first, so a
+  /// batch that fails either check appends nothing; a buffer error later
+  /// leaves the tuples before it appended.
+  Status AppendBatch(std::span<const data::Tuple> tuples);
+
+  /// Appends one tuple: a batch of one.
+  Status Append(const data::Tuple& tuple) { return AppendBatch({&tuple, 1}); }
 
   /// Visits every tuple in order; visitor returns false to stop.
   Status Scan(const std::function<bool(const data::Tuple&)>& visitor) const;
@@ -141,7 +91,7 @@ class PagedRelation {
     DBM_RETURN_NOT_OK(file_->VisitPage(
         file_->pages()[page_ordinal],
         [&](uint16_t, const uint8_t* rec, size_t len) {
-          decoded = DecodeRecord(rec, len, schema_.size(), sink);
+          decoded = data::DecodeRecord(rec, len, schema_.size(), sink);
           records += decoded.ok();
           return decoded.ok();
         }));

@@ -1,53 +1,46 @@
 #include "storage/record_file.h"
 
-#include <cstring>
+#include <algorithm>
 
 namespace dbm::storage {
 
-namespace {
-
-void PutU16(Page* page, size_t off, uint16_t v) {
-  page->bytes[off] = static_cast<uint8_t>(v & 0xFF);
-  page->bytes[off + 1] = static_cast<uint8_t>(v >> 8);
+Result<RecordId> RecordFile::Append(const std::vector<uint8_t>& record) {
+  return AppendRecords(
+      1, [&](size_t) { return record.size(); },
+      [&](size_t, uint8_t* dst) {
+        std::copy(record.begin(), record.end(), dst);
+      });
 }
 
-}  // namespace
+Status RecordFile::PinTail(Tail* tail) {
+  if (pages_.empty()) return Status::OK();
+  const PageId id = pages_.back();
+  DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetPage(id));
+  *tail = Tail{page, id, GetU16(*page, 0), GetU16(*page, 2), false};
+  return Status::OK();
+}
 
-Result<RecordId> RecordFile::Append(const std::vector<uint8_t>& record) {
-  if (record.size() > kMaxRecord) {
-    return Status::InvalidArgument("record too large for a page");
+Status RecordFile::OpenFreshPage(Tail* tail) {
+  const PageId id = disk_->Allocate();
+  if (id == kInvalidPage) {
+    return Status::IoError("disk cannot allocate a page");
   }
-  const size_t need = 2 + record.size();
+  DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetFreshPage(id));
+  pages_.push_back(id);
+  *tail = Tail{page, id, 0, kHeader, false};
+  return Status::OK();
+}
 
-  PageId target = kInvalidPage;
-  if (!pages_.empty()) {
-    PageId tail = pages_.back();
-    DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetPage(tail));
-    uint16_t free_off = GetU16(*page, 2);
-    bool fits = free_off + need <= kPageSize;
-    DBM_RETURN_NOT_OK(buffer_->Unpin(tail, false));
-    if (fits) target = tail;
+Status RecordFile::Release(Tail* tail) {
+  if (tail->page == nullptr) return Status::OK();
+  if (tail->wrote) {
+    PutU16(tail->page->bytes.data(), tail->count);
+    PutU16(tail->page->bytes.data() + 2,
+           static_cast<uint16_t>(tail->free_off));
   }
-  if (target == kInvalidPage) {
-    target = disk_->Allocate();
-    DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetFreshPage(target));
-    PutU16(page, 0, 0);
-    PutU16(page, 2, kHeader);
-    DBM_RETURN_NOT_OK(buffer_->Unpin(target, true));
-    pages_.push_back(target);
-  }
-
-  DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetPage(target));
-  uint16_t count = GetU16(*page, 0);
-  uint16_t free_off = GetU16(*page, 2);
-  PutU16(page, free_off, static_cast<uint16_t>(record.size()));
-  std::memcpy(page->bytes.data() + free_off + 2, record.data(),
-              record.size());
-  PutU16(page, 0, static_cast<uint16_t>(count + 1));
-  PutU16(page, 2, static_cast<uint16_t>(free_off + need));
-  DBM_RETURN_NOT_OK(buffer_->Unpin(target, true));
-  ++record_count_;
-  return RecordId{target, count};
+  const Tail released = *tail;
+  *tail = Tail{};
+  return buffer_->Unpin(released.id, released.wrote);
 }
 
 Status RecordFile::Attach() {

@@ -4,6 +4,12 @@
 // record prefixed with a u16 length. Records never span pages; a record
 // larger than the page payload is rejected.
 //
+// Every writer goes through one append primitive (AppendRecords): it pins
+// the tail page once, writes each record's length and bytes straight into
+// the frame through the caller's size/encode pair, opens a fresh page
+// when the next record does not fit, and unpins each page it wrote dirty
+// exactly once. Append(bytes) is a one-record call of it.
+//
 // Every reader goes through one slot-directory walk (WalkSlots), which
 // bounds every record by the page's free offset before handing it out
 // and requires the length chain to end exactly there — so a corrupt
@@ -39,8 +45,50 @@ class RecordFile {
   RecordFile(BufferManager* buffer, DiskComponent* disk)
       : buffer_(buffer), disk_(disk) {}
 
-  /// Appends a record, allocating a new page when the tail page is full.
+  /// Appends one record (AppendRecords with n = 1).
   Result<RecordId> Append(const std::vector<uint8_t>& record);
+
+  /// The one append primitive. Appends records 0..n-1 in order: record i
+  /// is `size(i)` bytes and `encode(i, dst)` writes exactly those bytes
+  /// at `dst`, straight into the pinned frame. The tail page is pinned
+  /// once; a record that does not fit on it closes the page and opens a
+  /// fresh one (GetFreshPage), so a page holds records until the next
+  /// one does not fit — the same pages whatever the batching. Each page
+  /// that receives a record is unpinned dirty exactly once, a tail that
+  /// receives none is unpinned clean: getpages = pages touched. Returns
+  /// the first record's id (an invalid id when n = 0, which touches
+  /// nothing). A record over kMaxRecord is InvalidArgument; on that or
+  /// any buffer error, the records before it stay appended
+  /// (record_count() counts them), so callers that want all-or-nothing
+  /// validate first.
+  template <typename Size, typename Encode>
+  Result<RecordId> AppendRecords(size_t n, Size&& size, Encode&& encode) {
+    RecordId first;
+    if (n == 0) return first;
+    Tail tail;
+    DBM_RETURN_NOT_OK(PinTail(&tail));
+    for (size_t i = 0; i < n; ++i) {
+      const size_t len = size(i);
+      if (len > kMaxRecord) {
+        DBM_RETURN_NOT_OK(Release(&tail));
+        return Status::InvalidArgument("record too large for a page");
+      }
+      if (tail.page == nullptr || tail.free_off + 2 + len > kPageSize) {
+        DBM_RETURN_NOT_OK(Release(&tail));
+        DBM_RETURN_NOT_OK(OpenFreshPage(&tail));
+      }
+      uint8_t* at = tail.page->bytes.data() + tail.free_off;
+      PutU16(at, static_cast<uint16_t>(len));
+      encode(i, at + 2);
+      if (i == 0) first = RecordId{tail.id, tail.count};
+      tail.free_off += 2 + len;
+      ++tail.count;
+      tail.wrote = true;
+      ++record_count_;
+    }
+    DBM_RETURN_NOT_OK(Release(&tail));
+    return first;
+  }
 
   /// Re-attaches to pages already on the disk after a restart (the WAL
   /// has been replayed by then): walks page ids in order, validates each
@@ -85,6 +133,28 @@ class RecordFile {
     return static_cast<uint16_t>(page.bytes[off] |
                                  (page.bytes[off + 1] << 8));
   }
+  static void PutU16(uint8_t* at, uint16_t v) {
+    at[0] = static_cast<uint8_t>(v & 0xFF);
+    at[1] = static_cast<uint8_t>(v >> 8);
+  }
+
+  /// The page AppendRecords is writing: pinned (page != nullptr) or none,
+  /// with its header held here until Release writes it back.
+  struct Tail {
+    Page* page = nullptr;
+    PageId id = kInvalidPage;
+    uint16_t count = 0;
+    size_t free_off = 0;
+    bool wrote = false;
+  };
+  /// Pins the file's last page, if it has one.
+  Status PinTail(Tail* tail);
+  /// Allocates and pins a fresh (zero-filled) page and appends it to the
+  /// file; its header starts empty in `tail`.
+  Status OpenFreshPage(Tail* tail);
+  /// Writes the header back and unpins the page (dirty iff a record was
+  /// written to it); a no-op with nothing pinned.
+  Status Release(Tail* tail);
 
   /// Walks `page`'s slot directory, calling `visit(slot, bytes, len)` for
   /// each record in slot order; `visit` returns false to stop early. The

@@ -1,6 +1,7 @@
 #include "storage/wal.h"
 
 #include "common/json.h"
+#include "common/payload_reader.h"
 #include "obs/health.h"
 
 namespace dbm::storage {
@@ -23,7 +24,7 @@ void EncodePageImageFrame(Lsn lsn, PageId page, const uint8_t* image,
 }
 
 bool DecodeWalPayload(std::string_view payload, WalRecord* rec) {
-  fault::PayloadReader in(payload);
+  PayloadReader in(payload);
   WalRecord out;
   uint8_t type = 0;
   if (!in.Le(&type) || !in.Le(&out.lsn)) return false;

@@ -492,7 +492,7 @@ TEST(BatchEngineTest, PagedProbeEquivalence) {
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
   auto page_rows = [&](size_t page) {
     auto n = (*paged)->DecodePage(page,
-                                  [](size_t, const storage::FieldView&) {});
+                                  [](size_t, const data::FieldView&) {});
     EXPECT_TRUE(n.ok()) << n.status().ToString();
     return n.ok() ? *n : 0;
   };

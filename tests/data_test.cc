@@ -142,6 +142,47 @@ TEST(RelationTest, DeserializeRejectsUnknownTypeTag) {
   EXPECT_TRUE(back.status().IsIoError()) << back.status().ToString();
 }
 
+TEST(RelationTest, DeserializeRejectsUnknownColumnType) {
+  // A schema type byte outside ValueType is corrupt, not a new type.
+  Relation rel("r", Schema({{"x", ValueType::kInt}}));
+  rel.InsertUnchecked(Tuple({int64_t{5}}));
+  std::vector<uint8_t> bytes = rel.Serialize();
+  // name (4 + 1), column count (4), column name (4 + 1): the type byte.
+  const size_t type_at = 4 + 1 + 4 + 4 + 1;
+  ASSERT_EQ(bytes[type_at], static_cast<uint8_t>(ValueType::kInt));
+  bytes[type_at] = 9;
+  auto back = Relation::Deserialize(bytes);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsIoError()) << back.status().ToString();
+}
+
+TEST(RelationTest, DeserializeRejectsRowsThatBreakTheSchema) {
+  // Well-formed values of the wrong type: the row must be checked
+  // against the schema, as Insert checks it.
+  Relation ints("r", Schema({{"x", ValueType::kInt}}));
+  Relation strings("r", Schema({{"x", ValueType::kString}}));
+  ASSERT_TRUE(strings.Insert(Tuple({std::string("five")})).ok());
+  std::vector<uint8_t> bytes = ints.Serialize();
+  const std::vector<uint8_t> body = strings.Serialize();
+  // Both headers have the same length; keep the int one up to its row
+  // count and splice in the string relation's row count and row.
+  bytes.resize(bytes.size() - 8);
+  bytes.insert(bytes.end(), body.begin() + static_cast<long>(bytes.size()),
+               body.end());
+  auto back = Relation::Deserialize(bytes);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsInvalidArgument()) << back.status().ToString();
+}
+
+TEST(RelationTest, DeserializeRejectsTrailingBytes) {
+  Relation people = gen::People(3, 1);
+  std::vector<uint8_t> bytes = people.Serialize();
+  bytes.push_back(0);
+  auto back = Relation::Deserialize(bytes);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsIoError()) << back.status().ToString();
+}
+
 TEST(RelationTest, GeneratorsAreDeterministic) {
   EXPECT_EQ(gen::People(50, 9).Serialize(), gen::People(50, 9).Serialize());
   EXPECT_NE(gen::People(50, 9).Serialize(), gen::People(50, 10).Serialize());

@@ -6,11 +6,14 @@
 //  * adaptive join operators agree with the reference under random
 //    arrival timings;
 //  * record files match a shadow model under random append/read
-//    workloads with tiny buffer pools, and a bit flipped anywhere in a
-//    page's slot directory never makes a reader leave the frame.
+//    workloads with tiny buffer pools, batches of records sized around
+//    page boundaries land page-filled and re-attach, and a bit flipped
+//    anywhere in a page's slot directory never makes a reader leave the
+//    frame.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "adapt/rules.h"
@@ -312,6 +315,90 @@ TEST_P(RecordFileFuzz, MatchesShadowUnderRandomWorkload) {
                   })
                   .ok());
   EXPECT_EQ(i, shadow.size());
+}
+
+TEST_P(RecordFileFuzz, BatchesAroundPageBoundariesMatchShadow) {
+  // The batch path (AppendRecords) with record sizes drawn around the
+  // tail's room: exactly the room, one byte over or under, empty, a full
+  // page, or anything. WalkSlots (through VisitPage) must find the shadow
+  // in order with every page filled until the next record did not fit,
+  // and Attach must find the same file again.
+  constexpr size_t kMax = storage::RecordFile::kMaxRecord;
+  Rng rng(GetParam());
+  auto disk = std::make_shared<storage::DiskComponent>();
+  auto policy = std::make_shared<storage::ClockPolicy>();
+  storage::BufferManager buffer("buf", 3);  // deliberately tiny
+  buffer.FindPort("disk")->SetTarget(disk);
+  buffer.FindPort("policy")->SetTarget(policy);
+  storage::RecordFile file(&buffer, disk.get());
+
+  std::vector<std::vector<uint8_t>> shadow;
+  size_t free_off = storage::kPageSize;  // the model's tail; full = none
+  for (int step = 0; step < 150; ++step) {
+    std::vector<std::vector<uint8_t>> batch(1 + rng.Uniform(12));
+    for (auto& rec : batch) {
+      const size_t room = storage::kPageSize - std::min(
+                                                   storage::kPageSize,
+                                                   free_off + 2);
+      size_t len = 0;
+      switch (rng.Uniform(6)) {
+        case 0: len = room; break;
+        case 1: len = room + 1; break;
+        case 2: len = room == 0 ? 0 : room - 1; break;
+        case 3: len = kMax; break;
+        case 4: len = 0; break;
+        default: len = rng.Uniform(kMax + 1); break;
+      }
+      len = std::min(len, kMax);
+      if (free_off + 2 + len > storage::kPageSize) free_off = 4;
+      free_off += 2 + len;
+      rec.resize(len);
+      for (auto& b : rec) b = static_cast<uint8_t>(rng.Uniform(256));
+    }
+    const size_t before = file.record_count();
+    auto first = file.AppendRecords(
+        batch.size(), [&](size_t i) { return batch[i].size(); },
+        [&](size_t i, uint8_t* dst) {
+          std::copy(batch[i].begin(), batch[i].end(), dst);
+        });
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_EQ(file.record_count(), before + batch.size());
+    for (auto& rec : batch) shadow.push_back(std::move(rec));
+    if (step % 50 == 0) {
+      ASSERT_TRUE(buffer.CheckInvariants().ok());
+    }
+  }
+
+  size_t i = 0;
+  for (storage::PageId pid : file.pages()) {
+    size_t used = 4;
+    ASSERT_TRUE(file.VisitPage(pid,
+                               [&](uint16_t, const uint8_t* bytes, size_t len) {
+                                 EXPECT_LT(i, shadow.size());
+                                 if (i < shadow.size()) {
+                                   EXPECT_TRUE(std::equal(bytes, bytes + len,
+                                                          shadow[i].begin(),
+                                                          shadow[i].end()))
+                                       << "record " << i;
+                                 }
+                                 ++i;
+                                 used += 2 + len;
+                                 return true;
+                               })
+                    .ok());
+    EXPECT_EQ(buffer.PinCount(pid), 0);
+    if (i < shadow.size()) {
+      EXPECT_GT(used + 2 + shadow[i].size(), storage::kPageSize)
+          << "page " << pid << " had room for record " << i;
+    }
+  }
+  EXPECT_EQ(i, shadow.size());
+
+  ASSERT_TRUE(buffer.FlushAll().ok());
+  storage::RecordFile reopened(&buffer, disk.get());
+  ASSERT_TRUE(reopened.Attach().ok());
+  EXPECT_EQ(reopened.pages(), file.pages());
+  EXPECT_EQ(reopened.record_count(), shadow.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecordFileFuzz,
