@@ -384,10 +384,8 @@ Result<Scenario3Report> RunScenario3(const Scenario3Config& config) {
   orders_stats.PerturbCardinality(config.stats_error);
 
   query::JoinQuery q;
-  q.left = query::TableInput{&orders, &orders_stats, std::nullopt, nullptr,
-                             1.0};
-  q.right = query::TableInput{&people, &people_stats, std::nullopt, nullptr,
-                              1.0};
+  q.left = query::TableInput{&orders, &orders_stats};
+  q.right = query::TableInput{&people, &people_stats};
   q.spec = query::JoinSpec{1, 0};
   q.left_join_column = "person_id";
   q.right_join_column = "id";

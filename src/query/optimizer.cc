@@ -1,36 +1,35 @@
 #include "query/optimizer.h"
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 namespace dbm::query {
+
+namespace {
+
+// The cost model: relative per-row prices, not calibrated times.
+constexpr double kBuildCostPerRow = 2.0;
+constexpr double kProbeCostPerRow = 1.0;
+constexpr double kNljCostPerPair = 0.1;
+constexpr double kOutputCostPerRow = 0.5;
+// Below this many estimated inner rows, nested loops wins.
+constexpr double kNljThreshold = 64;
+
+}  // namespace
 
 const char* JoinAlgorithmName(JoinAlgorithm a) {
   switch (a) {
     case JoinAlgorithm::kNestedLoop: return "nested-loop";
     case JoinAlgorithm::kHashBuildLeft: return "hash(build=left)";
     case JoinAlgorithm::kHashBuildRight: return "hash(build=right)";
-    case JoinAlgorithm::kIndexInnerLeft: return "index-nlj(inner=left)";
-    case JoinAlgorithm::kIndexInnerRight: return "index-nlj(inner=right)";
   }
   return "?";
 }
 
-OperatorPtr TableInput::MakeSource() const {
-  OperatorPtr src;
-  if (timing.has_value()) {
-    src = std::make_unique<DelayedSource>(relation, *timing);
-  } else {
-    src = std::make_unique<MemSource>(relation);
-  }
-  if (filter != nullptr) {
-    src = std::make_unique<FilterOp>(std::move(src), filter);
-  }
-  return src;
-}
-
 OperatorPtr JoinPlan::Build(const JoinQuery& query) const {
-  OperatorPtr left = query.left.MakeSource();
-  OperatorPtr right = query.right.MakeSource();
+  OperatorPtr left = std::make_unique<MemSource>(query.left.relation);
+  OperatorPtr right = std::make_unique<MemSource>(query.right.relation);
   switch (algorithm) {
     case JoinAlgorithm::kNestedLoop:
       // Inner (materialised) side is the right child.
@@ -47,14 +46,6 @@ OperatorPtr JoinPlan::Build(const JoinQuery& query) const {
       return std::make_unique<HashJoin>(std::move(right), std::move(left),
                                         flipped);
     }
-    case JoinAlgorithm::kIndexInnerRight:
-      // Outer = left source, inner = right index.
-      return std::make_unique<IndexNestedLoopJoin>(
-          std::move(left), query.right.index, query.spec.left_col);
-    case JoinAlgorithm::kIndexInnerLeft:
-      // Outer = right source, inner = left index (schema flips).
-      return std::make_unique<IndexNestedLoopJoin>(
-          std::move(right), query.left.index, query.spec.right_col);
   }
   return nullptr;
 }
@@ -91,7 +82,7 @@ Result<JoinPlan> Optimizer::PlanWithCardinalities(const JoinQuery& query,
   }
   JoinPlan plan;
   plan.estimated_output = EstimateJoinOutput(query);
-  double out_cost = plan.estimated_output * model_.output_cost_per_row;
+  double out_cost = plan.estimated_output * kOutputCostPerRow;
 
   // Candidate costs; the cheapest applicable algorithm wins.
   struct Candidate {
@@ -104,39 +95,19 @@ Result<JoinPlan> Optimizer::PlanWithCardinalities(const JoinQuery& query,
   // Nested loop is a candidate only when the materialised inner is tiny
   // (beyond that its quadratic term always loses anyway and the small-
   // table constant factors the model ignores would dominate).
-  if (std::min(left_rows, right_rows) <= model_.nlj_threshold) {
-    candidates.push_back(
-        {JoinAlgorithm::kNestedLoop,
-         left_rows * right_rows * model_.nlj_cost_per_pair + out_cost,
-         right_rows});
+  if (std::min(left_rows, right_rows) <= kNljThreshold) {
+    candidates.push_back({JoinAlgorithm::kNestedLoop,
+                          left_rows * right_rows * kNljCostPerPair + out_cost,
+                          right_rows});
   }
   candidates.push_back({JoinAlgorithm::kHashBuildLeft,
-                        left_rows * model_.build_cost_per_row +
-                            right_rows * model_.probe_cost_per_row + out_cost,
+                        left_rows * kBuildCostPerRow +
+                            right_rows * kProbeCostPerRow + out_cost,
                         left_rows});
   candidates.push_back({JoinAlgorithm::kHashBuildRight,
-                        right_rows * model_.build_cost_per_row +
-                            left_rows * model_.probe_cost_per_row + out_cost,
+                        right_rows * kBuildCostPerRow +
+                            left_rows * kProbeCostPerRow + out_cost,
                         right_rows});
-
-  // Index alternatives: no build phase at all; cost = probes. Usable only
-  // when the index is on the join column and the indexed table carries no
-  // pushed-down filter (the index reaches unfiltered rows).
-  auto index_usable = [](const TableInput& t, size_t join_col) {
-    return t.index != nullptr && t.filter == nullptr &&
-           t.index->relation() == t.relation &&
-           t.index->column() == join_col;
-  };
-  if (index_usable(query.right, query.spec.right_col)) {
-    candidates.push_back(
-        {JoinAlgorithm::kIndexInnerRight,
-         left_rows * model_.index_probe_cost_per_row + out_cost, 0});
-  }
-  if (index_usable(query.left, query.spec.left_col)) {
-    candidates.push_back(
-        {JoinAlgorithm::kIndexInnerLeft,
-         right_rows * model_.index_probe_cost_per_row + out_cost, 0});
-  }
 
   const Candidate* best = &candidates.front();
   for (const Candidate& c : candidates) {

@@ -10,14 +10,9 @@
 #ifndef DBM_QUERY_OPTIMIZER_H_
 #define DBM_QUERY_OPTIMIZER_H_
 
-#include <functional>
-#include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "data/relation.h"
-#include "query/index_join.h"
 #include "query/join.h"
 #include "query/operator.h"
 
@@ -25,39 +20,25 @@ namespace dbm::query {
 
 using data::RelationStats;
 
-/// A table input: the relation, the statistics the optimiser believes
-/// (possibly stale), optional arrival timing (wide-area source) and
-/// optional pushed-down filter.
+/// A table input: the relation and the statistics the optimiser believes
+/// (possibly stale).
 struct TableInput {
   const Relation* relation = nullptr;
   const RelationStats* stats = nullptr;
-  std::optional<DelayedSource::Timing> timing;
-  ExprPtr filter;                // may be null
-  double filter_selectivity = 1.0;  // optimiser's belief
-  /// Optional index over this table's JOIN column ("add an index to one
-  /// of the tables", §4 scenario 3). Non-owning. Only usable as the
-  /// inner side of an index nested-loop join, and only when the table
-  /// has no pushed-down filter (the index reaches raw rows).
-  RelationIndex* index = nullptr;
 
-  /// Builds the (filtered) source operator chain.
-  OperatorPtr MakeSource() const;
-
-  /// Estimated cardinality after the filter.
+  /// Estimated cardinality: the statistics' row count, or the true size
+  /// when there are no statistics.
   double EstimatedRows() const {
-    double rows = stats != nullptr
-                      ? static_cast<double>(stats->row_count)
-                      : static_cast<double>(relation->size());
-    return rows * filter_selectivity;
+    return stats != nullptr ? static_cast<double>(stats->row_count)
+                            : static_cast<double>(relation->size());
   }
 };
 
-/// A two-table equi-join query (the paper's scenarios join two inputs;
-/// multi-way ordering reduces to repeated two-way decisions).
+/// A two-table equi-join query (scenario 3 joins two inputs).
 struct JoinQuery {
   TableInput left;
   TableInput right;
-  JoinSpec spec;  // columns in the *unfiltered* schemas
+  JoinSpec spec;  // columns in the input relations' schemas
   std::string left_join_column;   // for V(col) lookup in stats
   std::string right_join_column;
 };
@@ -67,8 +48,6 @@ enum class JoinAlgorithm : uint8_t {
   kNestedLoop,
   kHashBuildLeft,
   kHashBuildRight,
-  kIndexInnerLeft,   // probe the LEFT table's index with right tuples
-  kIndexInnerRight,  // probe the RIGHT table's index with left tuples
 };
 const char* JoinAlgorithmName(JoinAlgorithm a);
 
@@ -86,20 +65,6 @@ struct JoinPlan {
 
 class Optimizer {
  public:
-  struct CostModel {
-    double build_cost_per_row = 2.0;
-    double probe_cost_per_row = 1.0;
-    double nlj_cost_per_pair = 0.1;
-    double output_cost_per_row = 0.5;
-    /// Per outer-tuple index probe (tree descent, a few page touches).
-    double index_probe_cost_per_row = 3.0;
-    /// Below this many estimated inner rows, nested loops wins.
-    double nlj_threshold = 64;
-  };
-
-  Optimizer() : model_() {}
-  explicit Optimizer(const CostModel& model) : model_(model) {}
-
   /// Estimated join output cardinality.
   double EstimateJoinOutput(const JoinQuery& query) const;
 
@@ -111,11 +76,6 @@ class Optimizer {
   Result<JoinPlan> PlanWithCardinalities(const JoinQuery& query,
                                          double left_rows,
                                          double right_rows) const;
-
-  const CostModel& cost_model() const { return model_; }
-
- private:
-  CostModel model_;
 };
 
 }  // namespace dbm::query

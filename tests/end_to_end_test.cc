@@ -1,16 +1,14 @@
 // Flagship integration: the whole stack in one test — paged storage
-// under the query layer, a B+tree index as the optimiser's third option,
-// the SPJ processor behind a swappable optimiser port, all inside the
-// component registry of a DatabaseMachine whose environment degrades
-// mid-session. "At that instant the system becomes effectively a
-// Database Machine" (§6).
+// under the query layer, the optimiser's plan run over pages, and a
+// buffer replacement policy swapped mid-session, all inside the
+// component registry of a DatabaseMachine. "At that instant the system
+// becomes effectively a Database Machine" (§6).
 
 #include <gtest/gtest.h>
 
 #include "dbmachine/machine.h"
-#include "query/index_join.h"
+#include "query/executor.h"
 #include "query/paged_source.h"
-#include "query/spj_component.h"
 #include "storage/paged_relation.h"
 #include "storage/replacement.h"
 
@@ -43,65 +41,44 @@ TEST(EndToEndTest, FullStackQueryWithAdaptationAndPaging) {
       storage::PagedRelation::Load(orders, buffer.get(), disk.get());
   ASSERT_TRUE(paged_orders.ok());
 
-  // --- index on the join column (scenario 3's "add an index") ---
-  auto index = query::RelationIndex::Build(&people, 0);
-  ASSERT_TRUE(index.ok());
-
-  // --- query plane: SPJ processor + swappable optimiser in the registry --
-  auto spj = std::make_shared<query::SpjProcessor>("spj");
-  ASSERT_TRUE(machine.registry()
-                  .Add(std::make_shared<query::OptimizerComponent>(
-                      "optimiser",
-                      query::OptimizerComponent::DockedModel()))
-                  .ok());
-  ASSERT_TRUE(machine.registry().Add(spj).ok());
-  ASSERT_TRUE(machine.registry().Bind("spj", "optimiser", "optimiser").ok());
-
+  // --- query plane: the optimiser plans orders ⋈ people ---
   data::RelationStats orders_stats = orders.ComputeStatistics();
   data::RelationStats people_stats = people.ComputeStatistics();
   query::JoinQuery q;
-  q.left = query::TableInput{&orders, &orders_stats, std::nullopt, nullptr,
-                             1.0, nullptr};
-  q.right = query::TableInput{&people, &people_stats, std::nullopt, nullptr,
-                              1.0, index->get()};
+  q.left = query::TableInput{&orders, &orders_stats};
+  q.right = query::TableInput{&people, &people_stats};
   q.spec = query::JoinSpec{1, 0};
   q.left_join_column = "person_id";
   q.right_join_column = "id";
-
-  // Run the join with the PAGED orders side: build the plan's operator
-  // tree manually so the scan goes through the buffer manager.
-  auto plan = spj->Plan(q);
+  auto plan = query::Optimizer().Plan(q);
   ASSERT_TRUE(plan.ok());
-  query::OperatorPtr probe_side =
-      std::make_unique<query::PagedSource>(paged_orders->get());
-  query::OperatorPtr root;
-  if (plan->algorithm == query::JoinAlgorithm::kIndexInnerRight) {
-    root = std::make_unique<query::IndexNestedLoopJoin>(
-        std::move(probe_side), index->get(), q.spec.left_col);
-  } else {
-    root = std::make_unique<query::HashJoin>(
-        std::move(probe_side),
-        std::make_unique<query::MemSource>(&people), q.spec);
-  }
-  std::vector<query::Tuple> out;
-  auto stats = query::Execute(root.get(), &out, {});
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(out.size(), 5000u);               // FK join preserves orders
-  EXPECT_GT(buffer->stats().gets, 50u);       // scan really paged
+  EXPECT_EQ(plan->algorithm, query::JoinAlgorithm::kHashBuildRight);
 
-  // --- adaptation: the environment degrades; the wireless optimiser is
-  // swapped in through the transactional reconfigurer and subsequent
-  // plans change character. ---
+  // Run the plan with the PAGED orders as the probe side: build the
+  // operator tree by hand so the scan goes through the buffer manager.
+  auto run_join = [&]() -> size_t {
+    query::OperatorPtr root = std::make_unique<query::HashJoin>(
+        std::make_unique<query::MemSource>(&people),
+        std::make_unique<query::PagedSource>(paged_orders->get()),
+        query::JoinSpec{q.spec.right_col, q.spec.left_col});
+    std::vector<query::Tuple> out;
+    auto stats = query::Execute(root.get(), &out, {});
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return out.size();
+  };
+  EXPECT_EQ(run_join(), 5000u);               // FK join preserves orders
+  const uint64_t gets_before = buffer->stats().gets;
+  EXPECT_GT(gets_before, 50u);                // scan really paged
+
+  // --- adaptation: mid-session, the buffer's replacement policy is
+  // swapped from LRU to CLOCK through the transactional reconfigurer;
+  // the same query keeps running over the same pages. ---
   component::ReconfigurationPlan swap;
-  swap.Swap("optimiser",
-            std::make_shared<query::OptimizerComponent>(
-                "optimiser", query::OptimizerComponent::WirelessModel()));
+  swap.Swap("policy", std::make_shared<storage::ClockPolicy>("policy"));
   ASSERT_TRUE(machine.reconfigurer().Execute(swap).ok());
-  auto wireless_plan = spj->Plan(q);
-  ASSERT_TRUE(wireless_plan.ok());
-  // Both models want the index here; the estimated cost must reflect the
-  // wireless model's heavier output pricing.
-  EXPECT_GT(wireless_plan->estimated_cost, plan->estimated_cost);
+  EXPECT_EQ(run_join(), 5000u);
+  EXPECT_GT(buffer->stats().gets, gets_before);
+  ASSERT_TRUE(buffer->CheckInvariants().ok());
 
   // The machine's registry still passes structural sanity: every bound
   // port targets a live component.

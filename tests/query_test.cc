@@ -464,8 +464,8 @@ struct JoinRig {
 
   JoinQuery Query() {
     JoinQuery q;
-    q.left = TableInput{&orders, &orders_stats, std::nullopt, nullptr, 1.0};
-    q.right = TableInput{&people, &people_stats, std::nullopt, nullptr, 1.0};
+    q.left = TableInput{&orders, &orders_stats};
+    q.right = TableInput{&people, &people_stats};
     q.spec = JoinSpec{1, 0};
     q.left_join_column = "person_id";
     q.right_join_column = "id";
@@ -499,8 +499,8 @@ TEST(OptimizerTest, TinyInputsUseNestedLoop) {
   auto ls = l.ComputeStatistics();
   auto rs = r.ComputeStatistics();
   JoinQuery q;
-  q.left = TableInput{&l, &ls, std::nullopt, nullptr, 1.0};
-  q.right = TableInput{&r, &rs, std::nullopt, nullptr, 1.0};
+  q.left = TableInput{&l, &ls};
+  q.right = TableInput{&r, &rs};
   q.spec = JoinSpec{0, 0};
   q.left_join_column = q.right_join_column = "k";
   Optimizer opt;
