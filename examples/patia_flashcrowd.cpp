@@ -1,9 +1,13 @@
 // Patia under a flash crowd: the §5.2 web-data server with Table 2's
 // constraints live. Prints a timeline of utilisation, SWITCH decisions
-// and latency as the crowd arrives and the service agent migrates.
+// and latency as the crowd arrives and the service agent migrates. node1
+// also serves the machine's own observability endpoints (/obs/*), and the
+// run ends by asking /obs/query for the SWITCH decisions it logged.
 
 #include <cstdio>
+#include <string>
 
+#include "patia/observatory.h"
 #include "patia/patia.h"
 
 int main() {
@@ -30,6 +34,8 @@ int main() {
   page.type = "html";
   page.variants = {{"Page1.html", 30000}};
   (void)server.RegisterAtom(page, {"node1", "node2"});
+  // The Observatory, served as dynamic atoms from node1.
+  (void)RegisterObservatory(&server, {"node1"});
 
   // Constraint 455 of Table 2, verbatim.
   Status s = server.AddConstraint(
@@ -73,5 +79,13 @@ int main() {
                   server.stats().served_by_node.count("node2")
                       ? server.stats().served_by_node.at("node2")
                       : 0));
+
+  // The decision log, read back through the machine's own query path.
+  const std::string path = "/obs/query?q=decisions limit 2";
+  std::string body;
+  (void)server.Request("client", path,
+                       [&](const ServedRequest& r) { body = r.body; });
+  loop.RunUntil(loop.Now() + Seconds(1));
+  std::printf("\nGET %s\n%s\n", path.c_str(), body.c_str());
   return 0;
 }

@@ -107,11 +107,13 @@ SimTime SessionManager::LearnedCooldown(int constraint_id) const {
   return it == dampers_.end() ? 0 : it->second.cooldown;
 }
 
-Result<int> SessionManager::CheckConstraints(SimTime now) {
+Result<int> SessionManager::CheckConstraints(SimTime now,
+                                             std::string_view subject) {
   DBM_ASSIGN_OR_RETURN(AdaptivityManager * am,
                        Require<AdaptivityManager>("adaptivity"));
   int enacted = 0;
   for (const Constraint* c : table_->All()) {
+    if (!subject.empty() && c->subject != subject) continue;
     if (!c->rule.trigger.has_value()) continue;  // Select rules: on demand
     ++evaluations_;
     obs_evaluations_->Add(1);

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adapt/metrics.h"
@@ -184,10 +185,11 @@ class SessionManager : public component::Component {
     scorers_[subject] = scorer;
   }
 
-  /// Evaluates all *triggered* (If-) constraints; every one whose trigger
-  /// fires and whose chosen target differs from the last enacted choice is
+  /// Evaluates the *triggered* (If-) constraints on `subject` (all of
+  /// them when `subject` is empty); every one whose trigger fires and
+  /// whose chosen target differs from the last enacted choice is
   /// forwarded to the adaptivity manager. Returns the number enacted.
-  Result<int> CheckConstraints(SimTime now);
+  Result<int> CheckConstraints(SimTime now, std::string_view subject = {});
 
   /// Evaluates the highest-priority Select-rule for `subject` — the
   /// placement query used by inter-query adaptation (scenario 1).

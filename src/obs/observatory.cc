@@ -1,8 +1,10 @@
 #include "obs/observatory.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/json.h"
@@ -205,6 +207,18 @@ Result<blackbox::TelemetryReader> OpenInstalledHistory() {
   return blackbox::TelemetryReader::Open(log->options().dir);
 }
 
+/// Parses the whole of `text` as a T: nullopt when it is empty, malformed,
+/// out of T's range or followed by anything else. The request string is
+/// outside input, so a number that only half parses is an error.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 Result<query::CmpOp> ParseOp(const std::string& op) {
   if (op == "=") return query::CmpOp::kEq;
   if (op == "!=") return query::CmpOp::kNe;
@@ -224,10 +238,13 @@ Result<data::Value> CoerceLiteral(const data::Schema& schema,
   DBM_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(column));
   switch (schema.field(idx).type) {
     case data::ValueType::kInt:
-      return data::Value{static_cast<int64_t>(
-          std::strtoll(text.c_str(), nullptr, 10))};
+      if (auto v = ParseNumber<int64_t>(text)) return data::Value{*v};
+      return Status::ParseError("'" + text + "' is not an integer (column '" +
+                                column + "')");
     case data::ValueType::kDouble:
-      return data::Value{std::strtod(text.c_str(), nullptr)};
+      if (auto v = ParseNumber<double>(text)) return data::Value{*v};
+      return Status::ParseError("'" + text + "' is not a number (column '" +
+                                column + "')");
     default:
       return data::Value{text};
   }
@@ -328,13 +345,12 @@ Result<std::string> ObservatoryQuery(std::string_view q,
     i += 4;
   }
   if (i < tokens.size() && tokens[i] == "limit") {
-    if (i + 1 >= tokens.size()) {
+    std::optional<uint64_t> count;
+    if (i + 1 < tokens.size()) count = ParseNumber<uint64_t>(tokens[i + 1]);
+    if (!count.has_value()) {
       return Status::ParseError("limit needs a row count");
     }
-    root = std::make_unique<query::LimitOp>(
-        std::move(root),
-        static_cast<uint64_t>(std::strtoull(tokens[i + 1].c_str(), nullptr,
-                                            10)));
+    root = std::make_unique<query::LimitOp>(std::move(root), *count);
     i += 2;
   }
   if (i < tokens.size()) {
@@ -387,12 +403,15 @@ std::map<std::string, std::string> ParseParams(std::string_view qs) {
   return out;
 }
 
-int64_t ParamInt(const std::map<std::string, std::string>& params,
-                 const std::string& key, int64_t fallback) {
+/// The numeric parameter `key`, or `fallback` when it is absent or empty.
+template <typename T>
+Result<T> NumberParam(const std::map<std::string, std::string>& params,
+                      const std::string& key, T fallback) {
   auto it = params.find(key);
   if (it == params.end() || it->second.empty()) return fallback;
-  return static_cast<int64_t>(
-      std::strtoll(it->second.c_str(), nullptr, 10));
+  if (auto v = ParseNumber<T>(it->second)) return *v;
+  return Status::InvalidArgument("/obs/history: bad " + key + "='" +
+                                 it->second + "'");
 }
 
 std::string HistoryRecordJson(const blackbox::TelemetryRecord& r) {
@@ -538,17 +557,19 @@ Result<std::string> ServeObservatory(std::string_view path, int64_t now_us,
       owned = std::move(opened);
       history = &*owned;
     }
-    const int64_t from_us = ParamInt(params, "from", 0);
-    const int64_t to_us =
-        ParamInt(params, "to", history->LastAtUs() > now_us
-                                   ? history->LastAtUs()
-                                   : now_us);
+    DBM_ASSIGN_OR_RETURN(const int64_t from_us,
+                         NumberParam<int64_t>(params, "from", 0));
+    DBM_ASSIGN_OR_RETURN(
+        const int64_t to_us,
+        NumberParam<int64_t>(params, "to", history->LastAtUs() > now_us
+                                               ? history->LastAtUs()
+                                               : now_us));
     if (fmt == "prom") return HistoryProm(*history, to_us);
     if (fmt == "collapsed") {
       return HistoryCollapsed(*history, from_us, to_us);
     }
-    const size_t limit =
-        static_cast<size_t>(ParamInt(params, "limit", 64));
+    DBM_ASSIGN_OR_RETURN(const uint64_t limit,
+                         NumberParam<uint64_t>(params, "limit", 64));
     return HistoryJson(*history, from_us, to_us, limit);
   }
   if (endpoint == "/obs/flight") {

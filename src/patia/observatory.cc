@@ -1,10 +1,14 @@
 #include "patia/observatory.h"
 
+#include "common/json.h"
 #include "obs/observatory.h"
 
 namespace dbm::patia {
 
 namespace {
+
+// The endpoints' atom ids run upward from here.
+constexpr int kFirstAtomId = 9000;
 
 const char* const kEndpoints[] = {
     "/obs/metrics", "/obs/timeseries", "/obs/decisions", "/obs/faults",
@@ -15,8 +19,7 @@ const char* const kEndpoints[] = {
 }  // namespace
 
 Result<std::vector<std::string>> RegisterObservatory(
-    PatiaServer* server, const std::vector<std::string>& nodes,
-    ObservatoryAgentOptions options) {
+    PatiaServer* server, const std::vector<std::string>& nodes) {
   if (server == nullptr) {
     return Status::InvalidArgument("null server");
   }
@@ -24,7 +27,7 @@ Result<std::vector<std::string>> RegisterObservatory(
     return Status::InvalidArgument("observatory needs at least one node");
   }
   std::vector<std::string> registered;
-  int id = options.first_atom_id;
+  int id = kFirstAtomId;
   for (const char* endpoint : kEndpoints) {
     Atom atom;
     atom.id = id++;
@@ -34,10 +37,12 @@ Result<std::vector<std::string>> RegisterObservatory(
     atom.variants = {{std::string(endpoint), 0}};
     DBM_RETURN_NOT_OK(server->RegisterDynamicAtom(
         std::move(atom), nodes,
-        [server](const std::string& resource, SimTime now) {
+        [](const std::string& resource, SimTime now) {
           auto body = obs::ServeObservatory(resource, now);
           if (body.ok()) return *std::move(body);
-          return std::string("{\"error\":\"") + body.status().message() +
+          // The message may echo the request, so it is escaped like any
+          // other string in the body.
+          return "{\"error\":\"" + JsonEscape(body.status().message()) +
                  "\"}";
         }));
     registered.push_back(endpoint);

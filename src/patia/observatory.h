@@ -16,16 +16,10 @@
 
 namespace dbm::patia {
 
-struct ObservatoryAgentOptions {
-  /// Atom ids for the five endpoints, allocated from here upward.
-  int first_atom_id = 9000;
-};
-
-/// Registers the /obs/* endpoints on `nodes` (all must be AddNode'd).
-/// Returns the names of the registered atoms.
+/// Registers the /obs/* endpoints on `nodes` (all must be AddNode'd) as
+/// atoms 9000 upward. Returns the names of the registered atoms.
 Result<std::vector<std::string>> RegisterObservatory(
-    PatiaServer* server, const std::vector<std::string>& nodes,
-    ObservatoryAgentOptions options = {});
+    PatiaServer* server, const std::vector<std::string>& nodes);
 
 }  // namespace dbm::patia
 

@@ -364,14 +364,17 @@ Status PatiaServer::Tick() {
   // Derived trend gauges ("derived.<metric>.<stat>") recompute before the
   // constraint pass so Table-2 rules can trigger on them this tick.
   derived_.Tick(now);
-  // The Table 2 metric name is "processor-util"; republish the serving
-  // agents' nodes' utilisation under that name, scoped per atom subject.
-  // Channels were resolved at AddNode — this path does not allocate.
+  // The Table 2 metric name is "processor-util"; republish each serving
+  // agent's node utilisation under that name and judge only that atom's
+  // constraints against it, so one agent's node never trips another
+  // atom's rule. Channels were resolved at AddNode — this path does not
+  // allocate.
   for (const auto& [atom_id, agent] : agents_) {
     auto node_ch = node_util_ch_.find(agent->node());
     double util = node_ch != node_util_ch_.end() ? node_ch->second->value : 0;
     bus_->Publish(processor_util_ch_, util, now);
-    DBM_RETURN_NOT_OK(session_->CheckConstraints(now).status());
+    DBM_RETURN_NOT_OK(
+        session_->CheckConstraints(now, atoms_.at(atom_id).name).status());
   }
   // The republished metric bypasses adapt::Gauge, so feed the watchdog
   // directly (per-node gauges record their own samples).

@@ -559,6 +559,18 @@ TEST_F(BlackboxTest, HistoryEndpointServesJsonPromAndCollapsed) {
   auto bad = ServeObservatory("/obs/history?fmt=xml", 1000);
   EXPECT_FALSE(bad.ok());
 
+  // Numeric parameters parse whole; limit=-1 must not wrap to SIZE_MAX.
+  for (const char* path : {"/obs/history?from=abc", "/obs/history?to=5x",
+                           "/obs/history?limit=-1", "/obs/history?limit=3x"}) {
+    EXPECT_TRUE(ServeObservatory(path, 1000).status().IsInvalidArgument())
+        << path;
+  }
+  auto one = ServeObservatory("/obs/history?fmt=json&limit=1", 1000);
+  ASSERT_TRUE(one.ok()) << one.status();
+  auto one_doc = ParseJson(*one);
+  ASSERT_TRUE(one_doc.ok()) << *one;
+  EXPECT_EQ(one_doc->Find("history")->Find("records")->array.size(), 1u);
+
   // Time-range filter: from= past the decision leaves only nothing.
   auto empty = ServeObservatory("/obs/history?fmt=json&from=5000", 9000);
   ASSERT_TRUE(empty.ok());

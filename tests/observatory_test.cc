@@ -389,9 +389,22 @@ TEST(ObservatoryServeTest, QueryEndpointRunsThroughQueryEngine) {
   EXPECT_FALSE(rows->array.empty());
 
   // A malformed query serves an error body rather than failing the
-  // request path.
-  std::string bad = rig.Fetch("/obs/query?q=nonsense");
-  EXPECT_NE(bad.find("error"), std::string::npos);
+  // request path. The body stays JSON when the error message echoes a
+  // quote from the request.
+  for (const char* q : {"nonsense", "a\"b"}) {
+    std::string bad = rig.Fetch(std::string("/obs/query?q=") + q);
+    auto bad_doc = ParseJson(bad);
+    ASSERT_TRUE(bad_doc.ok()) << bad;
+    EXPECT_NE(bad_doc->Find("error"), nullptr) << bad;
+  }
+
+  // Numbers in a query parse whole or not at all.
+  for (const char* q :
+       {"metrics where count = abc", "metrics where value > 1.5x",
+        "metrics limit abc", "metrics limit 3x", "metrics limit -1"}) {
+    EXPECT_TRUE(obs::ObservatoryQuery(q).status().IsParseError()) << q;
+  }
+  EXPECT_TRUE(obs::ObservatoryQuery("metrics where count >= 0 limit 2").ok());
 
   std::string ts = rig.Fetch("/obs/timeseries");
   EXPECT_TRUE(ParseJson(ts).ok());

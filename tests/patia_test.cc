@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "fault/log.h"
 #include "obs/metrics.h"
@@ -25,12 +26,12 @@ struct Rig {
     EXPECT_TRUE(server.AddNode("node2", {4, Millis(2)}).ok());
   }
 
-  Atom Page(int id = 123) {
+  Atom Page(int id = 123, const std::string& name = "Page1.html") {
     Atom a;
     a.id = id;
-    a.name = "Page1.html";
+    a.name = name;
     a.type = "html";
-    a.variants = {{"Page1.html", 20000}};
+    a.variants = {{name, 20000}};
     return a;
   }
 };
@@ -91,42 +92,52 @@ TEST(PatiaTest, BestConstraintPicksIdleReplica) {
 }
 
 TEST(PatiaTest, SwitchConstraintMigratesAgentUnderLoad) {
-  Rig rig;
-  ASSERT_TRUE(rig.server.RegisterAtom(rig.Page(), {"node1", "node2"}).ok());
-  // Constraint 455 (flash-crowd fail-over), verbatim from Table 2
-  // including the doubled paren.
-  ASSERT_TRUE(rig.server
-                  .AddConstraint(455, 123,
-                                 "If processor-util > 90% then SWITCH "
-                                 "((node1.Page1.html, node2.Page1.html)")
-                  .ok());
-  auto agent = rig.server.AgentFor(123);
-  ASSERT_TRUE(agent.ok());
-  EXPECT_EQ((*agent)->node(), "node1");
+  // The second pass adds an atom that stays on node1: each agent's node
+  // utilisation must be judged against its own atom's constraints only,
+  // or node1's load flips Page1's agent straight back every tick.
+  for (bool second_atom : {false, true}) {
+    SCOPED_TRACE(second_atom ? "with a second atom on node1" : "one atom");
+    Rig rig;
+    ASSERT_TRUE(rig.server.RegisterAtom(rig.Page(), {"node1", "node2"}).ok());
+    if (second_atom) {
+      ASSERT_TRUE(
+          rig.server.RegisterAtom(rig.Page(124, "Page2.html"), {"node1"}).ok());
+    }
+    // Constraint 455 (flash-crowd fail-over), verbatim from Table 2
+    // including the doubled paren.
+    ASSERT_TRUE(rig.server
+                    .AddConstraint(455, 123,
+                                   "If processor-util > 90% then SWITCH "
+                                   "((node1.Page1.html, node2.Page1.html)")
+                    .ok());
+    auto agent = rig.server.AgentFor(123);
+    ASSERT_TRUE(agent.ok());
+    EXPECT_EQ((*agent)->node(), "node1");
 
-  // Drive node1 past 90% and tick the adaptation pipeline a few times
-  // (the EWMA gauge needs a couple of samples to cross the threshold).
-  (*rig.net.GetDevice("node1"))->set_load(0.98);
-  for (int i = 0; i < 5; ++i) {
-    rig.loop.ScheduleAfter(Millis(10), [] {});
+    // Drive node1 past 90% and tick the adaptation pipeline a few times
+    // (the EWMA gauge needs a couple of samples to cross the threshold).
+    (*rig.net.GetDevice("node1"))->set_load(0.98);
+    for (int i = 0; i < 5; ++i) {
+      rig.loop.ScheduleAfter(Millis(10), [] {});
+      rig.loop.RunUntil();
+      ASSERT_TRUE(rig.server.Tick().ok());
+    }
+    EXPECT_EQ((*agent)->node(), "node2");
+    EXPECT_EQ((*agent)->migrations(), 1u);
+    EXPECT_GE(rig.server.adaptivity().enacted(), 1u);
+
+    // Subsequent requests are served from node2.
+    bool done = false;
+    ASSERT_TRUE(rig.server
+                    .Request("client", "Page1.html",
+                             [&](const ServedRequest& r) {
+                               done = true;
+                               EXPECT_EQ(r.served_by, "node2");
+                             })
+                    .ok());
     rig.loop.RunUntil();
-    ASSERT_TRUE(rig.server.Tick().ok());
+    EXPECT_TRUE(done);
   }
-  EXPECT_EQ((*agent)->node(), "node2");
-  EXPECT_EQ((*agent)->migrations(), 1u);
-  EXPECT_GE(rig.server.adaptivity().enacted(), 1u);
-
-  // Subsequent requests are served from node2.
-  bool done = false;
-  ASSERT_TRUE(rig.server
-                  .Request("client", "Page1.html",
-                           [&](const ServedRequest& r) {
-                             done = true;
-                             EXPECT_EQ(r.served_by, "node2");
-                           })
-                  .ok());
-  rig.loop.RunUntil();
-  EXPECT_TRUE(done);
 }
 
 TEST(PatiaTest, BandwidthBandedVariantSelection) {
