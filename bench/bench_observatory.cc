@@ -14,6 +14,7 @@
 #include "adapt/metrics.h"
 #include "bench/bench_util.h"
 #include "obs/alloc_hook.h"
+#include "obs/health.h"
 #include "obs/observatory.h"
 
 namespace {

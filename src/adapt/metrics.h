@@ -11,8 +11,9 @@
 // monitor's sample count and gauge's publish count is a registry counter
 // ("adapt.monitor.<name>.samples" / "adapt.gauge.<name>.publishes"), and
 // every bus value is mirrored into the registry gauge "bus.<metric>" —
-// so the whole Fig 1 blackboard shows up in obs::MetricsRelation() and
-// the bench sidecars without any extra plumbing.
+// so the whole Fig 1 blackboard shows up in the `metrics` table
+// (obs/table.h, served at /obs/query) and the bench sidecars without any
+// extra plumbing.
 
 #ifndef DBM_ADAPT_METRICS_H_
 #define DBM_ADAPT_METRICS_H_

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -272,6 +273,12 @@ std::string JsonEscape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string JsonNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
 }
 
 }  // namespace dbm

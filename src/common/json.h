@@ -59,6 +59,11 @@ Result<JsonValue> ParseJson(std::string_view text);
 /// backslashes, control characters). Shared by every JSON emitter here.
 std::string JsonEscape(std::string_view s);
 
+/// Renders a double the way every JSON emitter here does: "%.6g".
+/// %.17g round-trips doubles but makes the sidecars unreadable; six
+/// significant digits are plenty for metric values.
+std::string JsonNumber(double v);
+
 }  // namespace dbm
 
 #endif  // DBM_COMMON_JSON_H_

@@ -1,10 +1,14 @@
-// Small string utilities shared by the ADL and rule-language parsers.
+// Small string utilities shared by the ADL and rule-language parsers,
+// the /obs endpoints and the command-line tools.
 
 #ifndef DBM_COMMON_STRINGS_H_
 #define DBM_COMMON_STRINGS_H_
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace dbm {
@@ -33,6 +37,19 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Parses the whole of `text` as a T: nullopt when it is empty, malformed,
+/// out of T's range or followed by anything else. For numbers that come
+/// from outside input (flags, environment, request strings), where a
+/// number that only half parses is an error rather than a prefix.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 }  // namespace dbm
 

@@ -2,8 +2,6 @@
 
 #include <set>
 
-#include "obs/metrics_table.h"
-
 namespace dbm::machine {
 
 DatabaseMachine::DatabaseMachine(net::Network* network) : network_(network) {
@@ -194,10 +192,6 @@ Status DatabaseMachine::CheckConforms(const adl::Document& doc,
     }
   }
   return adl::Conforms(doc, cfg->second, filtered);
-}
-
-data::Relation DatabaseMachine::MetricsRelation() const {
-  return obs::MetricsRelation();
 }
 
 }  // namespace dbm::machine

@@ -90,11 +90,6 @@ class DatabaseMachine {
   Status CheckConforms(const adl::Document& doc,
                        const std::string& config_name) const;
 
-  /// The machine's own observability registry as a queryable relation
-  /// (the DBOS slant: system state is a table; run the query engine on
-  /// it). Snapshot semantics — call again for fresh values.
-  data::Relation MetricsRelation() const;
-
  private:
   Result<const data::MaterializedVersion*> ResolveVersion(
       const data::DataComponent& dc, const std::string& node) const;

@@ -174,10 +174,21 @@ Injector& Injector::Default() {
     auto* inj = new Injector();
     const char* spec = std::getenv("DBM_FAULT_SPEC");
     if (spec != nullptr && spec[0] != '\0') {
+      // A malformed seed or spec must not silently change or disable a
+      // chaos run.
+      uint64_t seed = 1;
       const char* seed_env = std::getenv("DBM_FAULT_SEED");
-      uint64_t seed =
-          seed_env != nullptr ? std::strtoull(seed_env, nullptr, 10) : 1;
-      // A malformed env spec must not silently disable chaos runs.
+      if (seed_env != nullptr && seed_env[0] != '\0') {
+        std::optional<uint64_t> parsed = ParseNumber<uint64_t>(seed_env);
+        if (!parsed.has_value()) {
+          std::fprintf(stderr,
+                       "DBM_FAULT_SEED rejected: '%s' is not an unsigned "
+                       "integer\n",
+                       seed_env);
+          std::abort();
+        }
+        seed = *parsed;
+      }
       Status s = inj->Configure(spec, seed);
       if (!s.ok()) {
         std::fprintf(stderr, "DBM_FAULT_SPEC rejected: %s\n",

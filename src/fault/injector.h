@@ -120,7 +120,8 @@ class Injector {
 
   /// The process-wide injector every built-in fault point consults.
   /// First use reads DBM_FAULT_SPEC / DBM_FAULT_SEED from the
-  /// environment (unset → disabled).
+  /// environment (unset → disabled; seed unset → 1). A malformed spec or
+  /// seed aborts the process rather than run a different schedule.
   static Injector& Default();
 
   /// Parses `spec` and arms the named points under `seed`. An empty

@@ -1,6 +1,5 @@
 #include "fault/log.h"
 
-#include "common/json.h"
 #include "obs/blackbox/record.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -22,25 +21,29 @@ FaultLog& FaultLog::Default() {
     auto* l = new FaultLog();
     // Failure history belongs in the post-mortem too: the flight record
     // gains a "faults" section the moment the fault plane is in use.
-    obs::RegisterFlightSection("faults", [l] {
-      std::string out = "[";
-      bool first = true;
-      for (const FaultEvent& e : l->Snapshot()) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"trace_id\":\"" + e.trace_id.ToHex() + "\"";
-        out += ",\"span_id\":" + std::to_string(e.span_id);
-        out += ",\"at_sim_us\":" + std::to_string(e.at_sim_us);
-        out += ",\"kind\":\"" + std::string(FaultEventKindName(e.kind)) + "\"";
-        out += ",\"point\":\"" + JsonEscape(e.point) + "\"";
-        out += ",\"detail\":\"" + JsonEscape(e.detail) + "\"}";
-      }
-      out += "]";
-      return out;
-    });
+    obs::RegisterFlightSection("faults",
+                               [l] { return obs::RowsJson(FaultsTable(*l)); });
     return l;
   }();
   return *log;
+}
+
+obs::Table FaultsTable(const FaultLog& log) {
+  using obs::ColumnType;
+  return {"faults",
+          {{"trace_id", ColumnType::kString},
+           {"span_id", ColumnType::kInt},
+           {"at_sim_us", ColumnType::kInt},
+           {"kind", ColumnType::kString},
+           {"point", ColumnType::kString},
+           {"detail", ColumnType::kString}},
+          [&log](const obs::RowSink& row) {
+            for (const FaultEvent& e : log.Snapshot()) {
+              row({e.trace_id.ToHex(), static_cast<int64_t>(e.span_id),
+                   e.at_sim_us, std::string(FaultEventKindName(e.kind)),
+                   std::string(e.point), std::string(e.detail)});
+            }
+          }};
 }
 
 void Record(FaultEventKind kind, std::string_view point,

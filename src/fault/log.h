@@ -5,9 +5,16 @@
 // data plane where the rules can see it. Records are POD and land in
 // the same lock-free head-keeping TraceRing the tracer uses; each one
 // captures the thread's current trace context, so a fault is joinable
-// to the DecisionRecord of the adaptation it triggered by trace id —
-// the Observatory serves the ring at /obs/faults and as the `faults`
-// relation.
+// to the DecisionRecord of the adaptation it triggered by trace id.
+// FaultsTable is the ring's one row definition,
+//
+//   faults(trace_id:string, span_id:int, at_sim_us:int, kind:string,
+//          point:string, detail:string)
+//
+// with kind one of injected|breaker|recovery|degraded. The Observatory
+// serves it at /obs/faults and as the `faults` relation, and the flight
+// record carries it as its "faults" section. It sits here rather than in
+// obs/table.h because dbm_fault is above dbm_obs.
 
 #ifndef DBM_FAULT_LOG_H_
 #define DBM_FAULT_LOG_H_
@@ -17,6 +24,7 @@
 #include <vector>
 
 #include "common/sim_clock.h"
+#include "obs/table.h"
 #include "obs/tracectx.h"
 
 namespace dbm::fault {
@@ -64,6 +72,9 @@ class FaultLog {
  private:
   obs::TraceRing<FaultEvent> ring_;
 };
+
+/// The faults table over `log`'s ring (see the header comment).
+obs::Table FaultsTable(const FaultLog& log = FaultLog::Default());
 
 /// Builds and appends an event to the default log, stamping the calling
 /// thread's trace context — the one-liner instrumented sites use. Also

@@ -50,4 +50,78 @@ int64_t TelemetryReader::LastAtUs() const {
   return last;
 }
 
+namespace {
+
+/// One history table: `columns` after at_us and before trace_id, each
+/// row built by `cells` from one record of `kind`.
+Table HistoryTable(const TelemetryReader& reader, const char* name,
+                   RecordKind kind, std::vector<Column> columns,
+                   std::vector<Cell> (*cells)(const TelemetryRecord&)) {
+  columns.insert(columns.begin(), {"at_us", ColumnType::kInt});
+  columns.push_back({"trace_id", ColumnType::kString});
+  return {name, std::move(columns),
+          [&reader, kind, cells](const RowSink& row) {
+            for (const TelemetryRecord& r : reader.records()) {
+              if (r.kind != static_cast<uint8_t>(kind)) continue;
+              std::vector<Cell> out = cells(r);
+              out.insert(out.begin(), Cell{r.at_us});
+              out.push_back(r.trace_id.ToHex());
+              row(std::move(out));
+            }
+          }};
+}
+
+Cell Int(double v) { return static_cast<int64_t>(v); }
+
+}  // namespace
+
+std::vector<Table> HistoryTables(const TelemetryReader& reader) {
+  constexpr ColumnType kInt = ColumnType::kInt;
+  constexpr ColumnType kString = ColumnType::kString;
+  return {
+      HistoryTable(reader, "history.metrics", RecordKind::kMetric,
+                   {{"name", kString},
+                    {"value", ColumnType::kDouble},
+                    {"publish_seq", kInt}},
+                   [](const TelemetryRecord& r) -> std::vector<Cell> {
+                     return {std::string(r.name), r.a, Int(r.b)};
+                   }),
+      HistoryTable(reader, "history.spans", RecordKind::kSpan,
+                   {{"name", kString},
+                    {"category", kString},
+                    {"span_id", kInt},
+                    {"parent_span_id", kInt},
+                    {"sim_dur", kInt}},
+                   [](const TelemetryRecord& r) -> std::vector<Cell> {
+                     return {std::string(r.name), std::string(r.text),
+                             Int(r.a), Int(r.b), Int(r.c)};
+                   }),
+      HistoryTable(reader, "history.decisions", RecordKind::kDecision,
+                   {{"constraint_id", kInt},
+                    {"subject", kString},
+                    {"rule", kString},
+                    {"action", kString}},
+                   [](const TelemetryRecord& r) -> std::vector<Cell> {
+                     return {Int(r.a), std::string(r.name),
+                             std::string(r.text), std::string(r.extra)};
+                   }),
+      HistoryTable(reader, "history.faults", RecordKind::kFault,
+                   {{"kind", kString}, {"point", kString}, {"detail", kString}},
+                   [](const TelemetryRecord& r) -> std::vector<Cell> {
+                     return {std::string(r.extra), std::string(r.name),
+                             std::string(r.text)};
+                   }),
+      HistoryTable(reader, "history.profiles", RecordKind::kProfile,
+                   {{"resource", kString},
+                    {"queue_us", kInt},
+                    {"dispatch_us", kInt},
+                    {"exec_us", kInt},
+                    {"total_us", kInt}},
+                   [](const TelemetryRecord& r) -> std::vector<Cell> {
+                     return {std::string(r.name), Int(r.a), Int(r.b),
+                             Int(r.c), Int(r.d)};
+                   }),
+  };
+}
+
 }  // namespace dbm::obs::blackbox

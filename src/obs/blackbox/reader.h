@@ -13,8 +13,16 @@
 //
 // On top of the recovered records it rebuilds history views: time-range
 // slices, per-metric last-value-as-of (the Observatory's gauge state at
-// any past instant — "time travel"), and the relations /obs/history and
-// tools/obs_replay serve through query::Execute.
+// any past instant — "time travel"), and the history.* tables that
+// /obs/query serves through query::Execute. Those filter crash-surviving
+// history by time range exactly like live state:
+//
+//   history.metrics   where at_us <= 2000000 limit 10
+//   history.decisions where constraint_id = 900
+//
+// One table per record kind; every schema starts with at_us, so the
+// time-range idiom (`where at_us >= T`) works uniformly, and ends with
+// trace_id.
 
 #ifndef DBM_OBS_BLACKBOX_READER_H_
 #define DBM_OBS_BLACKBOX_READER_H_
@@ -27,6 +35,7 @@
 #include "common/result.h"
 #include "fault/segment_log.h"
 #include "obs/blackbox/record.h"
+#include "obs/table.h"
 
 namespace dbm::obs::blackbox {
 
@@ -62,6 +71,11 @@ class TelemetryReader {
   std::vector<TelemetryRecord> records_;
   RecoveryReport report_;
 };
+
+/// history.metrics, history.spans, history.decisions, history.faults and
+/// history.profiles over `reader`'s records, which must outlive the
+/// tables' scans.
+std::vector<Table> HistoryTables(const TelemetryReader& reader);
 
 }  // namespace dbm::obs::blackbox
 

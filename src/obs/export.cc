@@ -2,41 +2,9 @@
 
 #include <cinttypes>
 
+#include "common/json.h"
+
 namespace dbm::obs {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string Num(double v) {
-  char buf[64];
-  // %.17g round-trips doubles but makes the sidecars unreadable; %.6g is
-  // plenty for metric values (counters are exact through 2^53 anyway).
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string ToJson(const std::vector<MetricSnapshot>& snapshot) {
   std::string out = "{\"metrics\":[";
@@ -52,17 +20,17 @@ std::string ToJson(const std::vector<MetricSnapshot>& snapshot) {
         out += ",\"value\":" + std::to_string(m.count);
         break;
       case MetricKind::kGauge:
-        out += ",\"value\":" + Num(m.value);
+        out += ",\"value\":" + JsonNumber(m.value);
         break;
       case MetricKind::kHistogram: {
         out += ",\"count\":" + std::to_string(m.count);
-        out += ",\"sum\":" + Num(m.sum);
-        out += ",\"mean\":" + Num(m.mean);
+        out += ",\"sum\":" + JsonNumber(m.sum);
+        out += ",\"mean\":" + JsonNumber(m.mean);
         out += ",\"min\":" + std::to_string(m.min);
         out += ",\"max\":" + std::to_string(m.max);
-        out += ",\"p50\":" + Num(m.p50);
-        out += ",\"p90\":" + Num(m.p90);
-        out += ",\"p99\":" + Num(m.p99);
+        out += ",\"p50\":" + JsonNumber(m.p50);
+        out += ",\"p90\":" + JsonNumber(m.p90);
+        out += ",\"p99\":" + JsonNumber(m.p99);
         out += ",\"buckets\":[";
         bool first_bucket = true;
         for (size_t b = 0; b < m.buckets.size(); ++b) {

@@ -5,6 +5,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "obs/table.h"
 
 namespace dbm::obs {
 
@@ -75,6 +76,33 @@ void LoopHealth::Clear() {
   latencies_.Clear();
 }
 
+std::string HealthJson(int64_t now_us, const LoopHealth& health) {
+  std::vector<LoopHealth::Verdict> verdicts = health.Verdicts(now_us);
+  bool healthy = true;
+  for (const LoopHealth::Verdict& v : verdicts) {
+    if (v.stale) healthy = false;
+  }
+  std::string out = "{\"at_us\":" + std::to_string(now_us);
+  out += std::string(",\"healthy\":") + (healthy ? "true" : "false");
+  out += ",\"gauges\":[";
+  bool first = true;
+  for (const LoopHealth::Verdict& v : verdicts) {
+    if (!first) out += ",";
+    first = false;
+    out += "{\"name\":\"" + JsonEscape(v.name) + "\"";
+    out += std::string(",\"stale\":") + (v.stale ? "true" : "false");
+    out += ",\"age_us\":" + std::to_string(v.age_us);
+    out += ",\"period_us\":" + std::to_string(v.period_us);
+    out += ",\"samples\":" + std::to_string(v.samples) + "}";
+  }
+  std::vector<LoopLatencyRecord> lats = health.LoopLatencies();
+  out += "],\"loop_latency\":{\"count\":" + std::to_string(lats.size());
+  out += ",\"last_us\":" +
+         std::to_string(lats.empty() ? 0 : lats.back().latency_us);
+  out += "}}";
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Flight recorder
 // ---------------------------------------------------------------------------
@@ -101,106 +129,8 @@ FlightSections& Sections() {
   return *sections;
 }
 
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-void AppendSpans(std::string* out) {
-  *out += "\"spans\":[";
-  bool first = true;
-  for (const SpanRecord& s : Tracer::Default().Spans()) {
-    if (!first) *out += ",";
-    first = false;
-    *out += "{\"trace_id\":\"" + s.trace_id.ToHex() + "\"";
-    *out += ",\"span_id\":" + std::to_string(s.span_id);
-    *out += ",\"parent_span_id\":" + std::to_string(s.parent_span_id);
-    *out += ",\"name\":\"" + JsonEscape(s.name) + "\"";
-    *out += ",\"category\":\"" + JsonEscape(s.category) + "\"";
-    *out += ",\"start_host_ns\":" + std::to_string(s.start_host_ns);
-    *out += ",\"dur_host_ns\":" + std::to_string(s.dur_host_ns);
-    *out += ",\"sim_begin\":" + std::to_string(s.sim_begin);
-    *out += ",\"sim_dur\":" + std::to_string(s.sim_dur) + "}";
-  }
-  *out += "]";
-}
-
-void AppendDecisions(std::string* out) {
-  *out += "\"decisions\":[";
-  bool first = true;
-  for (const DecisionRecord& d : Tracer::Default().Decisions()) {
-    if (!first) *out += ",";
-    first = false;
-    *out += "{\"trace_id\":\"" + d.trace_id.ToHex() + "\"";
-    *out += ",\"span_id\":" + std::to_string(d.span_id);
-    *out += ",\"at_sim_us\":" + std::to_string(d.at_sim_us);
-    *out += ",\"constraint_id\":" + std::to_string(d.constraint_id);
-    *out += ",\"subject\":\"" + JsonEscape(d.subject) + "\"";
-    *out += ",\"rule\":\"" + JsonEscape(d.rule) + "\"";
-    *out += ",\"action\":\"" + JsonEscape(d.action) + "\"";
-    *out += ",\"gauges\":[";
-    for (int32_t i = 0; i < d.gauge_count; ++i) {
-      if (i > 0) *out += ",";
-      *out += "{\"metric\":\"" + JsonEscape(d.gauges[i].metric) +
-              "\",\"value\":" + Num(d.gauges[i].value) + "}";
-    }
-    *out += "]}";
-  }
-  *out += "]";
-}
-
-void AppendLoopLatencies(std::string* out) {
-  *out += "\"loop_latency\":[";
-  bool first = true;
-  for (const LoopLatencyRecord& r : LoopHealth::Default().LoopLatencies()) {
-    if (!first) *out += ",";
-    first = false;
-    *out += "{\"trace_id\":\"" + r.trace_id.ToHex() + "\"";
-    *out += ",\"span_id\":" + std::to_string(r.span_id);
-    *out += ",\"constraint_id\":" + std::to_string(r.constraint_id);
-    *out += ",\"at_sim_us\":" + std::to_string(r.at_sim_us);
-    *out += ",\"latency_us\":" + std::to_string(r.latency_us) + "}";
-  }
-  *out += "]";
-}
-
-void AppendHealth(std::string* out, int64_t now_us) {
-  *out += "\"health\":[";
-  bool first = true;
-  for (const LoopHealth::Verdict& v : LoopHealth::Default().Verdicts(now_us)) {
-    if (!first) *out += ",";
-    first = false;
-    *out += "{\"name\":\"" + JsonEscape(v.name) + "\"";
-    *out += std::string(",\"stale\":") + (v.stale ? "true" : "false");
-    *out += ",\"age_us\":" + std::to_string(v.age_us);
-    *out += ",\"period_us\":" + std::to_string(v.period_us);
-    *out += ",\"samples\":" + std::to_string(v.samples) + "}";
-  }
-  *out += "]";
-}
-
-void AppendTimeSeries(std::string* out, size_t tail) {
-  *out += "\"timeseries\":[";
-  bool first = true;
-  for (const TimeSeries* ts : TimeSeriesStore::Default().All()) {
-    std::vector<TsSample> samples = ts->Snapshot();
-    if (samples.size() > tail) {
-      samples.erase(samples.begin(),
-                    samples.end() - static_cast<ptrdiff_t>(tail));
-    }
-    if (!first) *out += ",";
-    first = false;
-    *out += "{\"name\":\"" + JsonEscape(ts->name()) + "\",\"samples\":[";
-    for (size_t i = 0; i < samples.size(); ++i) {
-      if (i > 0) *out += ",";
-      *out += "[" + std::to_string(samples[i].at_us) + "," +
-              Num(samples[i].value) + "]";
-    }
-    *out += "]}";
-  }
-  *out += "]";
-}
+// The newest samples per time series that a flight record keeps.
+constexpr size_t kFlightTimeSeriesTail = 64;
 
 void DumpInstalled() {
   // A DBM_CHECK failure aborts, and SIGABRT is also trapped: dump once.
@@ -208,8 +138,7 @@ void DumpInstalled() {
   if (dumped.exchange(true)) return;
   FlightState& state = State();
   if (state.options.path.empty()) return;
-  (void)DumpFlightRecord(state.options.path, state.options.now_us,
-                         state.options.timeseries_tail);
+  (void)DumpFlightRecord(state.options.path, state.options.now_us);
   std::fprintf(stderr, "[flight recorder: %s]\n",
                state.options.path.c_str());
 }
@@ -259,8 +188,7 @@ Status TriggerFlightDump(int64_t now_us) {
     return Status::Unavailable("no flight recorder installed");
   }
   return DumpFlightRecord(state.options.path,
-                          now_us < 0 ? state.options.now_us : now_us,
-                          state.options.timeseries_tail);
+                          now_us < 0 ? state.options.now_us : now_us);
 }
 
 void InstallFlightDumpSignal(int signum) {
@@ -274,19 +202,15 @@ void RegisterFlightSection(const std::string& name,
   extra.sections[name] = std::move(fn);
 }
 
-Status DumpFlightRecord(const std::string& path, int64_t now_us,
-                        size_t timeseries_tail) {
+Status DumpFlightRecord(const std::string& path, int64_t now_us) {
   std::string out = "{\"flight\":{";
-  out += "\"at_us\":" + std::to_string(now_us) + ",";
-  AppendSpans(&out);
-  out += ",";
-  AppendDecisions(&out);
-  out += ",";
-  AppendLoopLatencies(&out);
-  out += ",";
-  AppendHealth(&out, now_us);
-  out += ",";
-  AppendTimeSeries(&out, timeseries_tail);
+  out += "\"at_us\":" + std::to_string(now_us);
+  out += ",\"spans\":" + RowsJson(SpansTable());
+  out += ",\"decisions\":" + RowsJson(DecisionsTable());
+  out += ",\"loop_latency\":" + RowsJson(LoopLatencyTable());
+  out += ",\"health\":" + HealthJson(now_us);
+  out += ",\"timeseries\":" +
+         TimeSeriesJson(TimeSeriesStore::Default(), kFlightTimeSeriesTail);
   {
     FlightSections& extra = Sections();
     std::lock_guard<std::mutex> lock(extra.mu);

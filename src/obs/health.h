@@ -14,10 +14,11 @@
 //
 // The flight recorder is the post-mortem half: installed once (benches do
 // it in bench::Init, anchored to argv[0]'s directory), it dumps the span
-// ring, decision ring, loop-latency ring, health verdicts and the tail of
-// every time series to a JSON sidecar when a DBM_CHECK fails or a fatal
-// signal arrives — the last N windows of the loop's state, preserved for
-// the autopsy.
+// ring, decision ring, loop-latency ring (each rendered from its
+// obs/table.h table), the health verdicts and the tail of every time
+// series to a JSON sidecar when a DBM_CHECK fails or a fatal signal
+// arrives — the last N windows of the loop's state, preserved for the
+// autopsy.
 
 #ifndef DBM_OBS_HEALTH_H_
 #define DBM_OBS_HEALTH_H_
@@ -136,6 +137,13 @@ class LoopHealth {
   Histogram* latency_hist_;
 };
 
+/// {"at_us":…,"healthy":bool,"gauges":[verdict,…],
+///  "loop_latency":{"count":N,"last_us":N}} at simulated time `now_us`:
+/// the /obs/health body's value and the flight record's "health" section.
+/// The loop-latency records themselves are the loop_latency table.
+std::string HealthJson(int64_t now_us,
+                       const LoopHealth& health = LoopHealth::Default());
+
 // ---------------------------------------------------------------------------
 // Flight recorder
 // ---------------------------------------------------------------------------
@@ -144,8 +152,6 @@ struct FlightRecorderOptions {
   /// Sidecar path; parent directory must exist. Benches pass their
   /// argv0-anchored out_dir + "<bench>.flight.json".
   std::string path;
-  /// Last N samples dumped per time series.
-  size_t timeseries_tail = 64;
   /// Also trap SIGSEGV/SIGBUS/SIGFPE/SIGILL/SIGABRT (best effort: the
   /// dump is not async-signal-safe, but a torn post-mortem beats none).
   bool install_signal_handlers = true;
@@ -162,11 +168,10 @@ void InstallFlightRecorder(const FlightRecorderOptions& options);
 const std::string& FlightRecorderPath();
 
 /// Writes the flight record (spans, decisions, loop latencies, health
-/// verdicts, time-series tails, registered extra sections) to `path`
-/// now. Also callable directly — the dump is valid at any quiescent
-/// point, not only at a crash.
-Status DumpFlightRecord(const std::string& path, int64_t now_us = 0,
-                        size_t timeseries_tail = 64);
+/// verdicts, the newest 64 samples of each time series, registered extra
+/// sections) to `path` now. Also callable directly — the dump is valid at
+/// any quiescent point, not only at a crash.
+Status DumpFlightRecord(const std::string& path, int64_t now_us = 0);
 
 /// Registers (or replaces) an extra flight-record section: at dump time
 /// `fn`'s return value — which must be a complete JSON value — lands in

@@ -5,9 +5,9 @@
 // *all* system state should be observable — and queryable — through one
 // substrate. This registry is that substrate for the reproduction itself:
 // every layer (ORB, query executor, buffer pool, session manager, Patia)
-// records into named counters, gauges and cycle histograms here, and
-// obs::MetricsRelation() exposes a snapshot as a data::Relation so the
-// gauges can be queried with our own query engine.
+// records into named counters, gauges and cycle histograms here, and the
+// `metrics` table (obs/table.h) exposes a snapshot as a relation so the
+// gauges can be queried with our own query engine (/obs/query).
 //
 // Hot-path discipline: metric handles are resolved from names ONCE, at
 // registration (construction) time, behind a mutex; recording through a

@@ -1,21 +1,18 @@
 #include "obs/observatory.h"
 
-#include <charconv>
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "common/json.h"
 #include "common/strings.h"
-#include "obs/blackbox/history_table.h"
+#include "fault/log.h"
 #include "obs/blackbox/log.h"
 #include "obs/blackbox/reader.h"
-#include "obs/fault_table.h"
-#include "obs/metrics_table.h"
-#include "obs/profile_table.h"
-#include "obs/trace_table.h"
+#include "obs/health.h"
+#include "obs/timeseries.h"
 #include "query/executor.h"
 #include "query/expr.h"
 #include "query/operator.h"
@@ -24,11 +21,8 @@ namespace dbm::obs {
 
 namespace {
 
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
+// The newest samples per series that /obs/timeseries serves.
+constexpr size_t kTimeSeriesTail = 32;
 
 /// Prometheus metric names allow [a-zA-Z0-9_:]; our dotted/dashed names
 /// map onto '_'.
@@ -44,10 +38,6 @@ std::string PromName(const std::string& name) {
   return out;
 }
 
-}  // namespace
-
-namespace {
-
 std::string RenderPromLines(const std::vector<MetricSnapshot>& metrics) {
   std::string out;
   for (const MetricSnapshot& m : metrics) {
@@ -59,14 +49,14 @@ std::string RenderPromLines(const std::vector<MetricSnapshot>& metrics) {
         break;
       case MetricKind::kGauge:
         out += "# TYPE " + name + " gauge\n";
-        out += name + " " + Num(m.value) + "\n";
+        out += name + " " + JsonNumber(m.value) + "\n";
         break;
       case MetricKind::kHistogram:
         out += "# TYPE " + name + " summary\n";
-        out += name + "{quantile=\"0.5\"} " + Num(m.p50) + "\n";
-        out += name + "{quantile=\"0.9\"} " + Num(m.p90) + "\n";
-        out += name + "{quantile=\"0.99\"} " + Num(m.p99) + "\n";
-        out += name + "_sum " + Num(m.sum) + "\n";
+        out += name + "{quantile=\"0.5\"} " + JsonNumber(m.p50) + "\n";
+        out += name + "{quantile=\"0.9\"} " + JsonNumber(m.p90) + "\n";
+        out += name + "{quantile=\"0.99\"} " + JsonNumber(m.p99) + "\n";
+        out += name + "_sum " + JsonNumber(m.sum) + "\n";
         out += name + "_count " + std::to_string(m.count) + "\n";
         break;
     }
@@ -80,110 +70,25 @@ std::string PrometheusText(const Registry& registry) {
   return RenderPromLines(registry.Snapshot());
 }
 
-std::string TimeSeriesJson(const TimeSeriesStore& store, size_t tail) {
-  std::string out = "{\"timeseries\":[";
-  bool first = true;
-  for (const TimeSeries* ts : store.All()) {
-    std::vector<TsSample> samples = ts->Snapshot();
-    if (samples.size() > tail) {
-      samples.erase(samples.begin(),
-                    samples.end() - static_cast<ptrdiff_t>(tail));
+data::Relation ToRelation(const Table& table) {
+  static constexpr data::ValueType kTypes[] = {
+      data::ValueType::kInt, data::ValueType::kDouble,
+      data::ValueType::kString};
+  std::vector<data::Field> fields;
+  for (const Column& c : table.columns) {
+    fields.push_back({c.name, kTypes[static_cast<size_t>(c.type)]});
+  }
+  data::Relation rel(table.name, data::Schema(std::move(fields)));
+  table.scan([&rel](std::vector<Cell> cells) {
+    data::Tuple row;
+    row.values.reserve(cells.size());
+    for (Cell& cell : cells) {
+      std::visit([&row](auto& v) { row.values.emplace_back(std::move(v)); },
+                 cell);
     }
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + JsonEscape(ts->name()) + "\"";
-    out += ",\"total\":" + std::to_string(ts->total());
-    out += ",\"samples\":[";
-    for (size_t i = 0; i < samples.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "[" + std::to_string(samples[i].at_us) + "," +
-             Num(samples[i].value) + "]";
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string DecisionsJson(const Tracer& tracer) {
-  std::string out = "{\"decisions\":[";
-  bool first = true;
-  for (const DecisionRecord& d : tracer.Decisions()) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"trace_id\":\"" + d.trace_id.ToHex() + "\"";
-    out += ",\"span_id\":" + std::to_string(d.span_id);
-    out += ",\"at_sim_us\":" + std::to_string(d.at_sim_us);
-    out += ",\"constraint_id\":" + std::to_string(d.constraint_id);
-    out += ",\"subject\":\"" + JsonEscape(d.subject) + "\"";
-    out += ",\"rule\":\"" + JsonEscape(d.rule) + "\"";
-    out += ",\"action\":\"" + JsonEscape(d.action) + "\"";
-    out += ",\"gauges\":[";
-    for (int32_t i = 0; i < d.gauge_count; ++i) {
-      if (i > 0) out += ",";
-      out += "{\"metric\":\"" + JsonEscape(d.gauges[i].metric) +
-             "\",\"value\":" + Num(d.gauges[i].value) + "}";
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string FaultsJson(const fault::FaultLog& log) {
-  std::string out = "{\"faults\":[";
-  bool first = true;
-  for (const fault::FaultEvent& e : log.Snapshot()) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"trace_id\":\"" + e.trace_id.ToHex() + "\"";
-    out += ",\"span_id\":" + std::to_string(e.span_id);
-    out += ",\"at_sim_us\":" + std::to_string(e.at_sim_us);
-    out += std::string(",\"kind\":\"") + fault::FaultEventKindName(e.kind) +
-           "\"";
-    out += ",\"point\":\"" + JsonEscape(e.point) + "\"";
-    out += ",\"detail\":\"" + JsonEscape(e.detail) + "\"}";
-  }
-  out += "],\"dropped\":" + std::to_string(log.dropped()) + "}";
-  return out;
-}
-
-std::string HealthJson(int64_t now_us, const LoopHealth& health) {
-  std::vector<LoopHealth::Verdict> verdicts = health.Verdicts(now_us);
-  bool healthy = true;
-  for (const LoopHealth::Verdict& v : verdicts) {
-    if (v.stale) healthy = false;
-  }
-  std::string out = "{\"health\":{";
-  out += "\"at_us\":" + std::to_string(now_us);
-  out += std::string(",\"healthy\":") + (healthy ? "true" : "false");
-  out += ",\"gauges\":[";
-  bool first = true;
-  for (const LoopHealth::Verdict& v : verdicts) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + JsonEscape(v.name) + "\"";
-    out += std::string(",\"stale\":") + (v.stale ? "true" : "false");
-    out += ",\"age_us\":" + std::to_string(v.age_us);
-    out += ",\"period_us\":" + std::to_string(v.period_us);
-    out += ",\"samples\":" + std::to_string(v.samples) + "}";
-  }
-  out += "],\"loop_latency\":{";
-  std::vector<LoopLatencyRecord> lats = health.LoopLatencies();
-  out += "\"count\":" + std::to_string(lats.size());
-  out += ",\"last_us\":" +
-         std::to_string(lats.empty() ? 0 : lats.back().latency_us);
-  out += ",\"records\":[";
-  size_t start = lats.size() > 16 ? lats.size() - 16 : 0;
-  for (size_t i = start; i < lats.size(); ++i) {
-    if (i > start) out += ",";
-    out += "{\"trace_id\":\"" + lats[i].trace_id.ToHex() + "\"";
-    out += ",\"constraint_id\":" + std::to_string(lats[i].constraint_id);
-    out += ",\"at_sim_us\":" + std::to_string(lats[i].at_sim_us);
-    out += ",\"latency_us\":" + std::to_string(lats[i].latency_us) + "}";
-  }
-  out += "]}}}";
-  return out;
+    rel.InsertUnchecked(std::move(row));
+  });
+  return rel;
 }
 
 // ---------------------------------------------------------------------------
@@ -192,9 +97,13 @@ std::string HealthJson(int64_t now_us, const LoopHealth& health) {
 
 namespace {
 
-/// Flush-and-read the installed black box: the live-process path to
-/// history when the caller did not hand the Observatory a reader.
-Result<blackbox::TelemetryReader> OpenInstalledHistory() {
+/// `given`, or else the installed black box, flushed and read into
+/// `*owned`: the live-process path to history when the caller did not
+/// hand the Observatory a reader.
+Result<const blackbox::TelemetryReader*> ResolveHistory(
+    const blackbox::TelemetryReader* given,
+    std::optional<blackbox::TelemetryReader>* owned) {
+  if (given != nullptr) return given;
   blackbox::TelemetryLog* log = blackbox::TelemetryLog::Installed();
   if (log == nullptr) {
     return Status::NotFound(
@@ -204,19 +113,9 @@ Result<blackbox::TelemetryReader> OpenInstalledHistory() {
   // A dead flusher cannot flush — read whatever survived anyway; that is
   // the whole point of the black box.
   (void)log->Flush();
-  return blackbox::TelemetryReader::Open(log->options().dir);
-}
-
-/// Parses the whole of `text` as a T: nullopt when it is empty, malformed,
-/// out of T's range or followed by anything else. The request string is
-/// outside input, so a number that only half parses is an error.
-template <typename T>
-std::optional<T> ParseNumber(std::string_view text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
+  DBM_ASSIGN_OR_RETURN(*owned,
+                       blackbox::TelemetryReader::Open(log->options().dir));
+  return &**owned;
 }
 
 Result<query::CmpOp> ParseOp(const std::string& op) {
@@ -255,7 +154,7 @@ std::string RenderValue(const data::Value& v) {
     case data::ValueType::kNull: return "null";
     case data::ValueType::kInt:
       return std::to_string(std::get<int64_t>(v));
-    case data::ValueType::kDouble: return Num(std::get<double>(v));
+    case data::ValueType::kDouble: return JsonNumber(std::get<double>(v));
     case data::ValueType::kString:
       return "\"" + JsonEscape(std::get<std::string>(v)) + "\"";
   }
@@ -264,13 +163,8 @@ std::string RenderValue(const data::Value& v) {
 
 }  // namespace
 
-Result<std::string> ObservatoryQuery(std::string_view q,
-                                     const ObservatoryOptions& options) {
-  const Registry& registry =
-      options.registry != nullptr ? *options.registry : Registry::Default();
-  const Tracer& tracer =
-      options.tracer != nullptr ? *options.tracer : Tracer::Default();
-
+Result<std::string> ObservatoryQuery(
+    std::string_view q, const blackbox::TelemetryReader* history) {
   std::vector<std::string> tokens =
       Split(std::string(Trim(q)), ' ', /*skip_empty=*/true);
   if (tokens.empty()) {
@@ -278,54 +172,27 @@ Result<std::string> ObservatoryQuery(std::string_view q,
         "empty query (expected: <relation> [where <col> <op> <value>] "
         "[limit N])");
   }
-  const fault::FaultLog& fault_log = options.fault_log != nullptr
-                                         ? *options.fault_log
-                                         : fault::FaultLog::Default();
   const std::string& rel_name = tokens[0];
-  data::Relation rel;
   std::optional<blackbox::TelemetryReader> owned_history;
-  if (rel_name == "metrics") {
-    rel = MetricsRelation(registry);
-  } else if (rel_name == "spans") {
-    rel = SpansRelation(tracer);
-  } else if (rel_name == "decisions") {
-    rel = DecisionsRelation(tracer);
-  } else if (rel_name == "faults") {
-    rel = FaultsRelation(fault_log);
-  } else if (rel_name == "profiles") {
-    rel = ProfilesRelation(options.profiles != nullptr
-                               ? *options.profiles
-                               : ProfilePlane::Default());
-  } else if (rel_name.rfind("history.", 0) == 0) {
-    const blackbox::TelemetryReader* history = options.history;
-    if (history == nullptr) {
-      DBM_ASSIGN_OR_RETURN(blackbox::TelemetryReader opened,
-                           OpenInstalledHistory());
-      owned_history = std::move(opened);
-      history = &*owned_history;
-    }
-    const std::string kind = rel_name.substr(8);
-    if (kind == "metrics") {
-      rel = blackbox::HistoryMetricsRelation(*history, rel_name);
-    } else if (kind == "spans") {
-      rel = blackbox::HistorySpansRelation(*history, rel_name);
-    } else if (kind == "decisions") {
-      rel = blackbox::HistoryDecisionsRelation(*history, rel_name);
-    } else if (kind == "faults") {
-      rel = blackbox::HistoryFaultsRelation(*history, rel_name);
-    } else if (kind == "profiles") {
-      rel = blackbox::HistoryProfilesRelation(*history, rel_name);
-    } else {
-      return Status::ParseError(
-          "unknown history relation '" + rel_name +
-          "' (expected history.{metrics|spans|decisions|faults|profiles})");
-    }
+  const bool is_history = rel_name.rfind("history.", 0) == 0;
+  std::vector<Table> tables;
+  if (is_history) {
+    DBM_ASSIGN_OR_RETURN(history, ResolveHistory(history, &owned_history));
+    tables = blackbox::HistoryTables(*history);
   } else {
-    return Status::ParseError(
-        "unknown relation '" + rel_name +
-        "' (expected metrics|spans|decisions|faults|profiles or "
-        "history.*)");
+    tables = {MetricsTable(),       SpansTable(),    DecisionsTable(),
+              fault::FaultsTable(), ProfilesTable(), LoopLatencyTable()};
   }
+  auto table = std::find_if(tables.begin(), tables.end(),
+                            [&](const Table& t) { return t.name == rel_name; });
+  if (table == tables.end()) {
+    std::vector<std::string> names;
+    for (const Table& t : tables) names.push_back(t.name);
+    return Status::ParseError("unknown relation '" + rel_name +
+                              "' (expected " + Join(names, "|") +
+                              (is_history ? ")" : " or history.*)"));
+  }
+  data::Relation rel = ToRelation(*table);
 
   query::OperatorPtr root = std::make_unique<query::MemSource>(&rel);
   size_t i = 1;
@@ -423,8 +290,8 @@ std::string HistoryRecordJson(const blackbox::TelemetryRecord& r) {
   out += ",\"name\":\"" + JsonEscape(r.name) + "\"";
   out += ",\"text\":\"" + JsonEscape(r.text) + "\"";
   out += ",\"extra\":\"" + JsonEscape(r.extra) + "\"";
-  out += ",\"a\":" + Num(r.a) + ",\"b\":" + Num(r.b) + ",\"c\":" +
-         Num(r.c) + ",\"d\":" + Num(r.d) + "}";
+  out += ",\"a\":" + JsonNumber(r.a) + ",\"b\":" + JsonNumber(r.b) +
+         ",\"c\":" + JsonNumber(r.c) + ",\"d\":" + JsonNumber(r.d) + "}";
   return out;
 }
 
@@ -465,7 +332,7 @@ std::string HistoryProm(const blackbox::TelemetryReader& reader,
   for (const auto& [name, value] : reader.GaugesAsOf(to_us)) {
     const std::string prom = PromName("history.bus." + name);
     out += "# TYPE " + prom + " gauge\n";
-    out += prom + " " + Num(value) + "\n";
+    out += prom + " " + JsonNumber(value) + "\n";
   }
   return out;
 }
@@ -492,17 +359,9 @@ std::string HistoryCollapsed(const blackbox::TelemetryReader& reader,
 
 }  // namespace
 
-Result<std::string> ServeObservatory(std::string_view path, int64_t now_us,
-                                     const ObservatoryOptions& options) {
-  const Registry& registry =
-      options.registry != nullptr ? *options.registry : Registry::Default();
-  const Tracer& tracer =
-      options.tracer != nullptr ? *options.tracer : Tracer::Default();
-  const TimeSeriesStore& store =
-      options.store != nullptr ? *options.store : TimeSeriesStore::Default();
-  const LoopHealth& health =
-      options.health != nullptr ? *options.health : LoopHealth::Default();
-
+Result<std::string> ServeObservatory(
+    std::string_view path, int64_t now_us,
+    const blackbox::TelemetryReader* history) {
   std::string_view endpoint = path;
   std::string_view query_string;
   size_t qpos = path.find('?');
@@ -510,27 +369,30 @@ Result<std::string> ServeObservatory(std::string_view path, int64_t now_us,
     endpoint = path.substr(0, qpos);
     query_string = path.substr(qpos + 1);
   }
-  if (endpoint == "/obs/metrics") return PrometheusText(registry);
+  if (endpoint == "/obs/metrics") return PrometheusText();
   if (endpoint == "/obs/timeseries") {
-    return TimeSeriesJson(store, options.timeseries_tail);
+    return "{\"timeseries\":" +
+           TimeSeriesJson(TimeSeriesStore::Default(), kTimeSeriesTail) + "}";
   }
-  if (endpoint == "/obs/decisions") return DecisionsJson(tracer);
+  if (endpoint == "/obs/decisions") {
+    return "{\"decisions\":" + RowsJson(DecisionsTable()) + "}";
+  }
   if (endpoint == "/obs/faults") {
-    return FaultsJson(options.fault_log != nullptr
-                          ? *options.fault_log
-                          : fault::FaultLog::Default());
+    const fault::FaultLog& log = fault::FaultLog::Default();
+    return "{\"faults\":" + RowsJson(fault::FaultsTable(log)) +
+           ",\"dropped\":" + std::to_string(log.dropped()) + "}";
   }
-  if (endpoint == "/obs/health") return HealthJson(now_us, health);
+  if (endpoint == "/obs/health") {
+    return "{\"health\":" + HealthJson(now_us) + "}";
+  }
   if (endpoint == "/obs/profile") {
-    const ProfilePlane& plane = options.profiles != nullptr
-                                    ? *options.profiles
-                                    : ProfilePlane::Default();
+    const ProfilePlane& plane = ProfilePlane::Default();
     if (query_string == "fmt=collapsed") return ProfilesCollapsed(plane);
     if (query_string == "fmt=prom") {
       // The Prometheus exposition narrowed to the profiling plane's own
       // metrics (profile.request.* histograms and record counters).
       std::vector<MetricSnapshot> metrics;
-      for (MetricSnapshot& m : registry.Snapshot()) {
+      for (MetricSnapshot& m : Registry::Default().Snapshot()) {
         if (m.name.rfind("profile.", 0) == 0) metrics.push_back(std::move(m));
       }
       return RenderPromLines(metrics);
@@ -549,14 +411,8 @@ Result<std::string> ServeObservatory(std::string_view path, int64_t now_us,
       return Status::InvalidArgument(
           "/obs/history supports ?fmt=json|prom|collapsed");
     }
-    const blackbox::TelemetryReader* history = options.history;
     std::optional<blackbox::TelemetryReader> owned;
-    if (history == nullptr) {
-      DBM_ASSIGN_OR_RETURN(blackbox::TelemetryReader opened,
-                           OpenInstalledHistory());
-      owned = std::move(opened);
-      history = &*owned;
-    }
+    DBM_ASSIGN_OR_RETURN(history, ResolveHistory(history, &owned));
     DBM_ASSIGN_OR_RETURN(const int64_t from_us,
                          NumberParam<int64_t>(params, "from", 0));
     DBM_ASSIGN_OR_RETURN(
@@ -584,7 +440,7 @@ Result<std::string> ServeObservatory(std::string_view path, int64_t now_us,
       return Status::InvalidArgument(
           "/obs/query expects ?q=<relation> [where ...] [limit N]");
     }
-    return ObservatoryQuery(query_string.substr(2), options);
+    return ObservatoryQuery(query_string.substr(2), history);
   }
   return Status::NotFound("no observatory endpoint '" +
                           std::string(endpoint) + "'");

@@ -7,19 +7,18 @@
 //
 //   /obs/metrics      Prometheus-style text exposition of the registry
 //   /obs/timeseries   retained sample windows, JSON
-//   /obs/decisions    the adaptation decision ring, JSON
-//   /obs/faults       the fault log (injections, breaker transitions,
-//                     recoveries, load sheds), JSON
-//   /obs/health       staleness + loop-latency verdicts, JSON
+//   /obs/decisions    the decisions table, JSON
+//   /obs/faults       the faults table (injections, breaker transitions,
+//                     recoveries, load sheds) + the ring's drop count, JSON
+//   /obs/health       staleness verdicts + loop-latency count, JSON
 //   /obs/profile      the profiling plane: request latency attribution +
 //                     EXPLAIN ANALYZE tails (JSON); ?fmt=prom narrows
 //                     the Prometheus exposition to profile.* metrics,
 //                     ?fmt=collapsed emits collapsed stacks for
 //                     flamegraph.pl / speedscope
 //   /obs/query?q=...  a mini query language routed through query::Execute
-//                     over the metrics/spans/decisions/faults/profiles
-//                     relations — plus the history.* relations recovered
-//                     from the black box's segments
+//                     over the live tables (obs/table.h) and the history.*
+//                     tables recovered from the black box's segments
 //   /obs/history      the durable telemetry log (crash-surviving
 //                     history): recovery report + record tail, JSON;
 //                     ?fmt=prom renders gauge state as of ?to=<us>
@@ -28,19 +27,21 @@
 //   /obs/flight       triggers an on-demand flight-record dump to the
 //                     installed sidecar path and reports where it went
 //
-// Content generation lives here (target dbm_observatory: obs + the
-// relation bridges + the query engine); registering the endpoints as
-// Patia service agents lives in src/patia/observatory.h — obs cannot
-// depend on patia.
+// Content generation lives here (target dbm_observatory: obs + the black
+// box + the query engine); registering the endpoints as Patia service
+// agents lives in src/patia/observatory.h — obs cannot depend on patia.
+// Every endpoint reads the process-wide instances (Registry::Default(),
+// Tracer::Default(), ...); only the black-box history can be handed in.
 //
 // The /obs/query language is deliberately tiny:
 //
 //   <relation> [where <column> <op> <value>] [limit N]
 //
-// with <relation> one of metrics|spans|decisions|faults|profiles and
+// with <relation> one of metrics|spans|decisions|faults|profiles|
+// loop_latency or history.{metrics|spans|decisions|faults|profiles}, and
 // <op> one of = != < <= > >=. It compiles to MemSource → FilterOp →
-// LimitOp and runs through query::Execute — the reproduction dogfooding
-// its own engine.
+// LimitOp over ToRelation(table) and runs through query::Execute — the
+// reproduction dogfooding its own engine.
 
 #ifndef DBM_OBS_OBSERVATORY_H_
 #define DBM_OBS_OBSERVATORY_H_
@@ -49,12 +50,9 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "fault/log.h"
-#include "obs/health.h"
+#include "data/relation.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/timeseries.h"
-#include "obs/tracectx.h"
+#include "obs/table.h"
 
 namespace dbm::obs {
 
@@ -67,51 +65,24 @@ class TelemetryReader;
 /// summary lines. Metric names are sanitised (dots and dashes → '_').
 std::string PrometheusText(const Registry& registry = Registry::Default());
 
-/// {"timeseries":[{"name":...,"samples":[[at_us,value],...]},...]} with
-/// at most `tail` newest samples per series.
-std::string TimeSeriesJson(const TimeSeriesStore& store =
-                               TimeSeriesStore::Default(),
-                           size_t tail = 32);
-
-/// {"decisions":[{...},...]} — the tracer's decision ring.
-std::string DecisionsJson(const Tracer& tracer = Tracer::Default());
-
-/// {"faults":[{...},...]} — the fault log, newest last; each record
-/// carries the trace id that joins it to the decision it triggered.
-std::string FaultsJson(const fault::FaultLog& log =
-                           fault::FaultLog::Default());
-
-/// {"health":{"healthy":bool,"gauges":[...],"loop_latency":{...}}} at
-/// simulated time `now_us`.
-std::string HealthJson(int64_t now_us,
-                       const LoopHealth& health = LoopHealth::Default());
-
-/// Sources for the /obs/query relations (defaults = process-wide).
-struct ObservatoryOptions {
-  const Registry* registry = nullptr;
-  const Tracer* tracer = nullptr;
-  const TimeSeriesStore* store = nullptr;
-  const LoopHealth* health = nullptr;
-  const fault::FaultLog* fault_log = nullptr;
-  const ProfilePlane* profiles = nullptr;
-  /// Recovered black-box history for /obs/history and the history.*
-  /// query relations. Null = flush-and-read the installed TelemetryLog's
-  /// segment directory per request (live time travel); endpoints fail
-  /// with NotFound when neither source exists.
-  const blackbox::TelemetryReader* history = nullptr;
-  size_t timeseries_tail = 32;
-};
+/// Freezes a scan of `table` into a relation of the same name and columns.
+data::Relation ToRelation(const Table& table);
 
 /// Runs one mini-language query and renders the result rows as
-/// {"relation":...,"columns":[...],"rows":[[...],...]}.
-Result<std::string> ObservatoryQuery(std::string_view q,
-                                     const ObservatoryOptions& options = {});
+/// {"relation":...,"columns":[...],"rows":[[...],...]}. `history` is the
+/// recovered black box the history.* tables read; null = flush and read
+/// the installed TelemetryLog's directory per request (live time travel),
+/// failing with NotFound when neither exists.
+Result<std::string> ObservatoryQuery(
+    std::string_view q, const blackbox::TelemetryReader* history = nullptr);
 
 /// Dispatches an endpoint path ("/obs/metrics", "/obs/query?q=...") to
 /// the matching renderer. `now_us` is the simulated time of the request
-/// (health verdicts and windows are relative to it).
-Result<std::string> ServeObservatory(std::string_view path, int64_t now_us,
-                                     const ObservatoryOptions& options = {});
+/// (health verdicts and windows are relative to it); `history` is as for
+/// ObservatoryQuery and also backs /obs/history.
+Result<std::string> ServeObservatory(
+    std::string_view path, int64_t now_us,
+    const blackbox::TelemetryReader* history = nullptr);
 
 }  // namespace dbm::obs
 

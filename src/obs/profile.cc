@@ -3,6 +3,7 @@
 #include "common/json.h"
 #include "obs/blackbox/record.h"
 #include "obs/health.h"
+#include "obs/table.h"
 
 namespace dbm::obs {
 
@@ -71,28 +72,11 @@ void ProfilePlane::Clear() {
 }
 
 std::string ProfilesJson(const ProfilePlane& plane, size_t request_tail) {
-  std::vector<RequestProfile> requests = plane.Requests();
-  if (requests.size() > request_tail) {
-    requests.erase(requests.begin(),
-                   requests.end() - static_cast<ptrdiff_t>(request_tail));
-  }
-  std::string out = "{\"profiles\":{\"requests\":[";
-  bool first = true;
-  for (const RequestProfile& r : requests) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"trace_id\":\"" + r.trace_id.ToHex() + "\"";
-    out += ",\"resource\":\"" + JsonEscape(r.resource) + "\"";
-    out += ",\"at_us\":" + std::to_string(r.at_us);
-    out += ",\"queue_us\":" + std::to_string(r.queue_us);
-    out += ",\"dispatch_us\":" + std::to_string(r.dispatch_us);
-    out += ",\"exec_us\":" + std::to_string(r.exec_us);
-    out += ",\"total_us\":" + std::to_string(r.total_us);
-    out += std::string(",\"served\":") + (r.served ? "true" : "false") + "}";
-  }
-  out += "],\"requests_dropped\":" + std::to_string(plane.requests_dropped());
+  std::string out = "{\"profiles\":{\"requests\":" +
+                    RowsJson(ProfilesTable(plane), request_tail);
+  out += ",\"requests_dropped\":" + std::to_string(plane.requests_dropped());
   out += ",\"queries\":[";
-  first = true;
+  bool first = true;
   for (const QueryProfileSummary& q : plane.Queries()) {
     if (!first) out += ",";
     first = false;

@@ -19,9 +19,10 @@
 //
 // Render targets: ProfilesJson (the /obs/profile body and the flight
 // recorder's "profiles" section) and ProfilesCollapsed (collapsed-stack
-// lines — `a;b;c weight` — for flamegraph.pl / speedscope). The tabular
-// face is obs/profile_table.h; the Patia endpoint is registered in
-// src/patia/observatory.cc.
+// lines — `a;b;c weight` — for flamegraph.pl / speedscope). The request
+// ring's one row definition is the `profiles` table (obs/table.h), which
+// /obs/query serves and ProfilesJson renders; the Patia endpoint is
+// registered in src/patia/observatory.cc.
 
 #ifndef DBM_OBS_PROFILE_H_
 #define DBM_OBS_PROFILE_H_
@@ -108,8 +109,9 @@ class ProfilePlane {
   Histogram& total_us_;
 };
 
-/// {"profiles":{"requests":[...],"queries":[...]}} — newest-last request
-/// tail (`request_tail` caps it) plus every retained query summary.
+/// {"profiles":{"requests":[...],"requests_dropped":N,"queries":[...]}} —
+/// the newest `request_tail` rows of the profiles table plus every
+/// retained query summary.
 std::string ProfilesJson(const ProfilePlane& plane = ProfilePlane::Default(),
                          size_t request_tail = 64);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/json.h"
+
 namespace dbm::obs {
 
 std::vector<TsSample> TimeSeries::Window(int64_t from_us) const {
@@ -176,6 +178,28 @@ void TimeSeriesStore::ResetAll() {
 size_t TimeSeriesStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return series_.size();
+}
+
+std::string TimeSeriesJson(const TimeSeriesStore& store, size_t tail) {
+  std::string out = "[";
+  bool first = true;
+  for (const TimeSeries* ts : store.All()) {
+    std::vector<TsSample> samples = ts->Snapshot();
+    size_t start = samples.size() > tail ? samples.size() - tail : 0;
+    if (!first) out += ",";
+    first = false;
+    out += "{\"name\":\"" + JsonEscape(ts->name()) + "\"";
+    out += ",\"total\":" + std::to_string(ts->total());
+    out += ",\"samples\":[";
+    for (size_t i = start; i < samples.size(); ++i) {
+      if (i > start) out += ",";
+      out += "[" + std::to_string(samples[i].at_us) + "," +
+             JsonNumber(samples[i].value) + "]";
+    }
+    out += "]}";
+  }
+  out += "]";
+  return out;
 }
 
 }  // namespace dbm::obs

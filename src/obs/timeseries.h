@@ -213,6 +213,11 @@ class TimeSeriesStore {
   std::map<std::string, std::unique_ptr<TimeSeries>> series_;
 };
 
+/// [{"name":…,"total":N,"samples":[[at_us,value],…]},…] with at most the
+/// newest `tail` samples per series: the /obs/timeseries body's value and
+/// the flight record's "timeseries" section.
+std::string TimeSeriesJson(const TimeSeriesStore& store, size_t tail);
+
 }  // namespace dbm::obs
 
 #endif  // DBM_OBS_TIMESERIES_H_

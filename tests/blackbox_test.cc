@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "fault/log.h"
 #include "obs/alloc_hook.h"
 #include "obs/blackbox/format.h"
-#include "obs/blackbox/history_table.h"
 #include "obs/blackbox/log.h"
 #include "obs/blackbox/reader.h"
 #include "obs/blackbox/record.h"
@@ -509,14 +509,16 @@ TEST_F(BlackboxTest, HistoryRelationsAnswerObservatoryQueries) {
 
   auto reader = TelemetryReader::Open(dir());
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(HistoryDecisionsRelation(*reader).rows().size(), 5u);
-  EXPECT_EQ(HistoryMetricsRelation(*reader).rows().size(), 5u);
-  EXPECT_EQ(HistorySpansRelation(*reader).rows().size(), 0u);
+  std::map<std::string, size_t> row_counts;
+  for (const Table& table : HistoryTables(*reader)) {
+    row_counts[table.name] = ToRelation(table).rows().size();
+  }
+  EXPECT_EQ(row_counts["history.decisions"], 5u);
+  EXPECT_EQ(row_counts["history.metrics"], 5u);
+  EXPECT_EQ(row_counts["history.spans"], 0u);
 
-  ObservatoryOptions options;
-  options.history = &*reader;
   auto body = ObservatoryQuery(
-      "history.decisions where at_us <= 3000 limit 10", options);
+      "history.decisions where at_us <= 3000 limit 10", &*reader);
   ASSERT_TRUE(body.ok()) << body.status();
   auto doc = ParseJson(*body);
   ASSERT_TRUE(doc.ok());
@@ -524,7 +526,7 @@ TEST_F(BlackboxTest, HistoryRelationsAnswerObservatoryQueries) {
   ASSERT_NE(rows, nullptr);
   EXPECT_EQ(rows->array.size(), 3u);
 
-  auto bad = ObservatoryQuery("history.nope", options);
+  auto bad = ObservatoryQuery("history.nope", &*reader);
   EXPECT_FALSE(bad.ok());
 }
 

@@ -108,6 +108,24 @@ TEST(StringsTest, StartsEndsWith) {
   EXPECT_FALSE(StartsWith("ab", "abc"));
 }
 
+// Numbers from outside input parse whole or not at all: no silent 0 for
+// "abc", no prefix for "9000x", no wrap of "-1" into an unsigned.
+TEST(StringsTest, ParseNumberConsumesTheWholeToken) {
+  EXPECT_EQ(ParseNumber<int64_t>("9000"), 9000);
+  EXPECT_EQ(ParseNumber<int64_t>("-5"), -5);
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(ParseNumber<double>("0.25"), 0.25);
+  EXPECT_EQ(ParseNumber<double>("1e3"), 1000.0);
+  for (const char* bad : {"", "abc", "9000x", " 1", "1 ", "0x10", "+1"}) {
+    EXPECT_FALSE(ParseNumber<int64_t>(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(ParseNumber<uint64_t>("-1").has_value());
+  EXPECT_FALSE(ParseNumber<uint64_t>("18446744073709551616").has_value());
+  EXPECT_FALSE(ParseNumber<int32_t>("2147483648").has_value());
+  EXPECT_FALSE(ParseNumber<double>("1.5x").has_value());
+  EXPECT_FALSE(ParseNumber<double>("abc").has_value());
+}
+
 TEST(RngTest, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());

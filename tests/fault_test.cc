@@ -8,6 +8,7 @@
 // on an unrecovered crash.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -27,7 +28,7 @@
 #include "fault/recovery.h"
 #include "net/network.h"
 #include "net/sensor_stream.h"
-#include "obs/fault_table.h"
+#include "obs/observatory.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/tracectx.h"
@@ -112,6 +113,23 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   Injector inj;
   EXPECT_FALSE(inj.Configure("a:error@1;b:nonsense@2", 1).ok());
   EXPECT_FALSE(inj.enabled());
+}
+
+// The environment arms the process-wide injector; a seed that does not
+// parse whole must stop the run like a bad spec does, not become seed 0.
+TEST(FaultSpecDeathTest, MalformedEnvironmentSeedAborts) {
+  // Re-executing the binary gives the child a Default() not yet built.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* seed : {"abc", "17x", "-1"}) {
+    EXPECT_DEATH(
+        {
+          setenv("DBM_FAULT_SPEC", "test.point:error@0.5", 1);
+          setenv("DBM_FAULT_SEED", seed, 1);
+          (void)Injector::Default();
+        },
+        "DBM_FAULT_SEED rejected")
+        << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -605,9 +623,9 @@ TEST(Scenario2FaultTest, BreakerSwitchJoinsFaultsToDecisionByTraceId) {
 
   // And the same join through the faults *relation* (what /obs/query
   // exposes): σ(kind = "breaker" ∧ trace_id = <trace>) is non-empty.
-  data::Relation rel = obs::FaultsRelation();
-  auto trace_col = obs::FaultsSchema().IndexOf("trace_id");
-  auto kind_col = obs::FaultsSchema().IndexOf("kind");
+  data::Relation rel = obs::ToRelation(fault::FaultsTable());
+  auto trace_col = rel.schema().IndexOf("trace_id");
+  auto kind_col = rel.schema().IndexOf("kind");
   ASSERT_TRUE(trace_col.ok() && kind_col.ok());
   size_t joined = 0;
   for (const data::Tuple& t : rel.rows()) {

@@ -9,7 +9,7 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/metrics_table.h"
+#include "obs/observatory.h"
 #include "obs/trace.h"
 #include "os/cycles.h"
 #include "query/executor.h"
@@ -213,11 +213,11 @@ TEST(MetricsTable, QueryableThroughExecutor) {
   reg.GetCounter("table.errors").Add(1);
   reg.GetGauge("table.hit_rate").Set(0.9);
 
-  data::Relation rel = obs::MetricsRelation(reg);
+  data::Relation rel = obs::ToRelation(obs::MetricsTable(reg));
   ASSERT_EQ(rel.rows().size(), 3u);
 
   // σ(count > 10) over metrics(name, kind, value, count, ...).
-  data::Schema schema = obs::MetricsSchema();
+  const data::Schema& schema = rel.schema();
   auto count_col = query::Col(schema, "count");
   ASSERT_TRUE(count_col.ok());
   auto root = std::make_unique<query::FilterOp>(

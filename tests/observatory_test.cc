@@ -1,13 +1,18 @@
 // The Observatory end to end: retained time series and window statistics,
 // derived trend gauges triggering Table-2 rules, the Fig-1 loop health
 // watchdog (staleness + loop latency joined to decision records by trace
-// id), the flight recorder, and the /obs/* endpoints served through
-// Patia's own adaptive path.
+// id), the observability tables and their three renderings, the flight
+// recorder, and the /obs/* endpoints served through Patia's own adaptive
+// path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 
 #include "adapt/derived.h"
@@ -15,8 +20,13 @@
 #include "adapt/session.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "fault/injector.h"
+#include "fault/log.h"
+#include "obs/blackbox/log.h"
+#include "obs/blackbox/reader.h"
 #include "obs/health.h"
 #include "obs/observatory.h"
+#include "obs/table.h"
 #include "obs/timeseries.h"
 #include "patia/observatory.h"
 #include "patia/patia.h"
@@ -149,8 +159,7 @@ TEST(LoopHealthTest, HealthJsonRendersBothStates) {
 
   auto healthy = ParseJson(obs::HealthJson(Millis(1), lh));
   ASSERT_TRUE(healthy.ok());
-  const JsonValue* root = healthy->Find("health");
-  ASSERT_NE(root, nullptr);
+  const JsonValue* root = &*healthy;
   EXPECT_TRUE(BoolOf(root->Find("healthy")));
   const JsonValue* gauges = root->Find("gauges");
   ASSERT_TRUE(gauges != nullptr && gauges->IsArray());
@@ -159,8 +168,7 @@ TEST(LoopHealthTest, HealthJsonRendersBothStates) {
 
   auto stale = ParseJson(obs::HealthJson(Seconds(1), lh));
   ASSERT_TRUE(stale.ok());
-  root = stale->Find("health");
-  ASSERT_NE(root, nullptr);
+  root = &*stale;
   EXPECT_FALSE(BoolOf(root->Find("healthy")));
   EXPECT_TRUE(BoolOf(root->Find("gauges")->array[0].Find("stale")));
 }
@@ -373,7 +381,12 @@ TEST(ObservatoryServeTest, HealthEndpointIsWellFormedJson) {
   ASSERT_NE(health, nullptr);
   EXPECT_NE(health->Find("healthy"), nullptr);
   EXPECT_NE(health->Find("gauges"), nullptr);
-  EXPECT_NE(health->Find("loop_latency"), nullptr);
+  const JsonValue* latency = health->Find("loop_latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_NE(latency->Find("count"), nullptr);
+  EXPECT_NE(latency->Find("last_us"), nullptr);
+  // The records themselves are the loop_latency table, not a copy here.
+  EXPECT_EQ(latency->Find("records"), nullptr);
 }
 
 TEST(ObservatoryServeTest, QueryEndpointRunsThroughQueryEngine) {
@@ -420,11 +433,270 @@ TEST(ObservatoryServeTest, ServeObservatoryRejectsUnknownEndpoint) {
 }
 
 // ---------------------------------------------------------------------------
+// The observability tables: one definition per ring, three renderings
+// ---------------------------------------------------------------------------
+
+/// One record in every ring a table reads, and a black-box directory
+/// holding one record of each kind for the history.* tables.
+struct Rings {
+  obs::Registry registry;
+  obs::Tracer tracer;
+  fault::FaultLog faults;
+  obs::ProfilePlane profiles;
+  obs::LoopHealth health;
+  std::filesystem::path dir;
+  std::optional<obs::blackbox::TelemetryReader> history;
+
+  Rings() {
+    registry.GetCounter("rings.counter").Add(3);
+    registry.GetGauge("rings.gauge").Set(2.5);
+    registry.GetHistogram("rings.hist").Record(40);
+    obs::SpanRecord span;
+    span.span_id = 2;
+    span.thread = 1;
+    span.SetName("ring-span");
+    span.SetCategory("test");
+    tracer.Emit(span);
+    obs::DecisionRecord decision;
+    decision.constraint_id = 455;
+    decision.SetSubject("atom\"123");  // quotes must survive every rendering
+    decision.SetAction("SWITCH -> node2");
+    decision.AddGauge("x", 2.5);
+    decision.AddGauge("y", 3);
+    tracer.Emit(decision);
+    fault::FaultEvent fault;
+    fault.SetPoint("ring.point");
+    fault.SetDetail("line\nbreak");
+    faults.Append(fault);
+    obs::RequestProfile request;
+    request.served = true;
+    request.total_us = 9;
+    request.SetResource("/ring");
+    profiles.RecordRequest(request);
+    obs::LoopLatencyRecord latency;
+    latency.constraint_id = 455;
+    latency.latency_us = 7;
+    health.RecordLoopLatency(latency);
+
+    // A directory per test: ctest runs the cases as parallel processes.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    for (char& c : name) {
+      if (c == '/') c = '_';
+    }
+    dir = std::filesystem::temp_directory_path() /
+          ("observatory_test_" + name + ".telem");
+    std::filesystem::remove_all(dir);
+    // The chaos CI arms obs.blackbox.write:crash process-wide; this
+    // history must be whole, so it is written with the injector disarmed.
+    fault::Injector& injector = fault::Injector::Default();
+    const std::string spec = injector.spec();
+    const uint64_t seed = injector.seed();
+    EXPECT_TRUE(injector.Configure("", 0).ok());
+    {
+      obs::blackbox::TelemetryLogOptions options;
+      options.dir = dir.string();
+      options.start_flusher = false;
+      auto log = obs::blackbox::TelemetryLog::Open(options);
+      EXPECT_TRUE(log.ok());
+      for (uint8_t kind = 0; kind <= 4; ++kind) {
+        obs::blackbox::TelemetryRecord rec;
+        rec.kind = kind;
+        rec.at_us = 100 * (kind + 1);
+        rec.a = 1.5;
+        rec.SetName("ring.record");
+        (*log)->Append(rec);
+      }
+      (*log)->Poll();
+      EXPECT_TRUE((*log)->Flush().ok());
+    }
+    EXPECT_TRUE(injector.Configure(spec, seed).ok());
+    auto reader = obs::blackbox::TelemetryReader::Open(dir.string());
+    EXPECT_TRUE(reader.ok());
+    history = *std::move(reader);
+  }
+  ~Rings() { std::filesystem::remove_all(dir); }
+
+  /// The six live tables and the five history.* tables.
+  std::vector<obs::Table> Tables() const {
+    std::vector<obs::Table> tables = {
+        obs::MetricsTable(registry), obs::SpansTable(tracer),
+        obs::DecisionsTable(tracer), fault::FaultsTable(faults),
+        obs::ProfilesTable(profiles), obs::LoopLatencyTable(health)};
+    for (obs::Table& t : obs::blackbox::HistoryTables(*history)) {
+      tables.push_back(std::move(t));
+    }
+    return tables;
+  }
+};
+
+using GoldenColumns = std::vector<std::pair<std::string, data::ValueType>>;
+
+// The relations /obs/query serves, their columns written out so that a
+// rename, a retype or a reorder fails here. loop_latency is the newest.
+TEST(ObservatoryTablesTest, QueryServesTheGoldenRelations) {
+  constexpr data::ValueType kInt = data::ValueType::kInt;
+  constexpr data::ValueType kDouble = data::ValueType::kDouble;
+  constexpr data::ValueType kString = data::ValueType::kString;
+  const std::vector<std::pair<std::string, GoldenColumns>> golden = {
+      {"metrics",
+       {{"name", kString}, {"kind", kString}, {"value", kDouble},
+        {"count", kInt}, {"mean", kDouble}, {"min", kInt}, {"max", kInt},
+        {"p50", kDouble}, {"p99", kDouble}}},
+      {"spans",
+       {{"trace_id", kString}, {"span_id", kInt}, {"parent_span_id", kInt},
+        {"name", kString}, {"category", kString}, {"thread", kInt},
+        {"start_host_ns", kInt}, {"dur_host_ns", kInt}, {"sim_begin", kInt},
+        {"sim_dur", kInt}}},
+      {"decisions",
+       {{"trace_id", kString}, {"span_id", kInt}, {"at_sim_us", kInt},
+        {"constraint_id", kInt}, {"subject", kString}, {"rule", kString},
+        {"action", kString}, {"gauges", kString}}},
+      {"faults",
+       {{"trace_id", kString}, {"span_id", kInt}, {"at_sim_us", kInt},
+        {"kind", kString}, {"point", kString}, {"detail", kString}}},
+      {"profiles",
+       {{"trace_id", kString}, {"resource", kString}, {"served", kInt},
+        {"at_us", kInt}, {"queue_us", kInt}, {"dispatch_us", kInt},
+        {"exec_us", kInt}, {"total_us", kInt}}},
+      {"history.metrics",
+       {{"at_us", kInt}, {"name", kString}, {"value", kDouble},
+        {"publish_seq", kInt}, {"trace_id", kString}}},
+      {"history.spans",
+       {{"at_us", kInt}, {"name", kString}, {"category", kString},
+        {"span_id", kInt}, {"parent_span_id", kInt}, {"sim_dur", kInt},
+        {"trace_id", kString}}},
+      {"history.decisions",
+       {{"at_us", kInt}, {"constraint_id", kInt}, {"subject", kString},
+        {"rule", kString}, {"action", kString}, {"trace_id", kString}}},
+      {"history.faults",
+       {{"at_us", kInt}, {"kind", kString}, {"point", kString},
+        {"detail", kString}, {"trace_id", kString}}},
+      {"history.profiles",
+       {{"at_us", kInt}, {"resource", kString}, {"queue_us", kInt},
+        {"dispatch_us", kInt}, {"exec_us", kInt}, {"total_us", kInt},
+        {"trace_id", kString}}},
+      {"loop_latency",
+       {{"trace_id", kString}, {"span_id", kInt}, {"constraint_id", kInt},
+        {"at_sim_us", kInt}, {"latency_us", kInt}}},
+  };
+
+  Rings rings;
+  std::vector<obs::Table> tables = rings.Tables();
+  ASSERT_EQ(tables.size(), golden.size());
+  std::map<std::string, const obs::Table*> by_name;
+  for (const obs::Table& t : tables) by_name[t.name] = &t;
+  for (const auto& [name, columns] : golden) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(by_name.count(name), 1u);
+    const data::Schema schema = obs::ToRelation(*by_name[name]).schema();
+    ASSERT_EQ(schema.size(), columns.size());
+    for (size_t i = 0; i < columns.size(); ++i) {
+      EXPECT_EQ(schema.field(i).name, columns[i].first);
+      EXPECT_EQ(schema.field(i).type, columns[i].second) << columns[i].first;
+    }
+    // The same relation, under the same name, through /obs/query.
+    auto body = obs::ObservatoryQuery(name + " limit 1", &*rings.history);
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    auto doc = ParseJson(*body);
+    ASSERT_TRUE(doc.ok()) << *body;
+    EXPECT_EQ(doc->Find("relation")->StringOr(""), name);
+    const JsonValue* served = doc->Find("columns");
+    ASSERT_TRUE(served != nullptr && served->IsArray());
+    ASSERT_EQ(served->array.size(), columns.size());
+    for (size_t i = 0; i < columns.size(); ++i) {
+      EXPECT_EQ(served->array[i].StringOr(""), columns[i].first);
+    }
+  }
+
+  // An unknown name lists what is served.
+  auto bad = obs::ObservatoryQuery("nope");
+  ASSERT_TRUE(bad.status().IsParseError());
+  EXPECT_NE(bad.status().message().find("loop_latency"), std::string::npos);
+  bad = obs::ObservatoryQuery("history.nope", &*rings.history);
+  ASSERT_TRUE(bad.status().IsParseError());
+  EXPECT_NE(bad.status().message().find("history.profiles"),
+            std::string::npos);
+}
+
+class ObservatoryTableTest : public ::testing::TestWithParam<const char*> {};
+
+// Every table's scan, its JSON and its relation agree with its columns.
+TEST_P(ObservatoryTableTest, ScanRowsJsonAndRelationAgree) {
+  Rings rings;
+  std::vector<obs::Table> tables = rings.Tables();
+  auto it = std::find_if(tables.begin(), tables.end(), [](const auto& t) {
+    return t.name == GetParam();
+  });
+  ASSERT_NE(it, tables.end());
+  const obs::Table& table = *it;
+
+  size_t rows = 0;
+  table.scan([&](std::vector<obs::Cell> cells) {
+    ++rows;
+    ASSERT_EQ(cells.size(), table.columns.size());
+    for (size_t c = 0; c < cells.size(); ++c) {
+      EXPECT_EQ(cells[c].index(), static_cast<size_t>(table.columns[c].type))
+          << table.columns[c].name;
+    }
+  });
+  EXPECT_GE(rows, 1u);
+
+  std::string json = obs::RowsJson(table);
+  auto doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << json;
+  ASSERT_TRUE(doc->IsArray());
+  ASSERT_EQ(doc->array.size(), rows);
+  for (const JsonValue& row : doc->array) {
+    ASSERT_TRUE(row.IsObject());
+    ASSERT_EQ(row.object.size(), table.columns.size());
+    for (size_t c = 0; c < table.columns.size(); ++c) {
+      const auto& [key, value] = row.object[c];
+      EXPECT_EQ(key, table.columns[c].name);
+      EXPECT_EQ(value.IsString(),
+                table.columns[c].type == obs::ColumnType::kString)
+          << key;
+    }
+  }
+  EXPECT_EQ(ParseJson(obs::RowsJson(table, /*tail=*/0))->array.size(), 0u);
+
+  data::Relation rel = obs::ToRelation(table);
+  EXPECT_EQ(rel.name(), table.name);
+  EXPECT_EQ(rel.rows().size(), rows);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTables, ObservatoryTableTest,
+    ::testing::Values("metrics", "spans", "decisions", "faults", "profiles",
+                      "loop_latency", "history.metrics", "history.spans",
+                      "history.decisions", "history.faults",
+                      "history.profiles"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '.') c = '_';
+      }
+      return name;
+    });
+
+// ---------------------------------------------------------------------------
 // Flight recorder
 // ---------------------------------------------------------------------------
 
 TEST(FlightRecorderTest, DumpIsReparseable) {
   obs::TimeSeriesStore::Default().Get("flight-ts").Record(1, 2.0);
+  // A record in each ring the flight record renders as table rows.
+  obs::SpanRecord span;
+  span.span_id = 1;
+  span.SetName("flight-span");
+  obs::Tracer::Default().Emit(span);
+  obs::LoopLatencyRecord latency;
+  latency.constraint_id = 7;
+  latency.latency_us = 5;
+  obs::LoopHealth::Default().RecordLoopLatency(latency);
+  fault::Record(fault::FaultEventKind::kInjected, "flight.point", "detail",
+                Millis(1));
+
   const std::string path = "observatory_test.dump.flight.json";
   std::remove(path.c_str());
   ASSERT_TRUE(obs::DumpFlightRecord(path, /*now_us=*/Millis(1)).ok());
@@ -432,8 +704,18 @@ TEST(FlightRecorderTest, DumpIsReparseable) {
   ASSERT_TRUE(doc.ok());
   const JsonValue* flight = doc->Find("flight");
   ASSERT_NE(flight, nullptr);
-  EXPECT_NE(flight->Find("spans"), nullptr);
+  const JsonValue* spans = flight->Find("spans");
+  ASSERT_TRUE(spans != nullptr && spans->IsArray());
+  ASSERT_FALSE(spans->array.empty());
+  for (const JsonValue& s : spans->array) {
+    EXPECT_NE(s.Find("thread"), nullptr);
+  }
   EXPECT_NE(flight->Find("decisions"), nullptr);
+  for (const char* section : {"loop_latency", "faults"}) {
+    const JsonValue* rows = flight->Find(section);
+    ASSERT_TRUE(rows != nullptr && rows->IsArray()) << section;
+    EXPECT_FALSE(rows->array.empty()) << section;
+  }
   EXPECT_NE(flight->Find("health"), nullptr);
   const JsonValue* series = flight->Find("timeseries");
   ASSERT_TRUE(series != nullptr && series->IsArray());
@@ -443,6 +725,9 @@ TEST(FlightRecorderTest, DumpIsReparseable) {
   }
   EXPECT_TRUE(found);
   std::remove(path.c_str());
+  obs::Tracer::Default().Clear();
+  obs::LoopHealth::Default().Clear();
+  fault::FaultLog::Default().Clear();
 }
 
 TEST(FlightRecorderDeathTest, CheckFailureWritesSidecar) {

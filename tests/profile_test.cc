@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "obs/observatory.h"
 #include "obs/profile.h"
-#include "obs/profile_table.h"
 #include "query/parallel.h"
 
 #include "serial_reference.h"
@@ -270,7 +269,7 @@ TEST(ProfileTest, ProfilesRelationAndEndpoint) {
   (void)ProfiledRun(plan, 4, &pool);
 
   // Tabular face: the request ring as a relation...
-  data::Relation rel = obs::ProfilesRelation(plane);
+  data::Relation rel = obs::ToRelation(obs::ProfilesTable(plane));
   ASSERT_EQ(rel.rows().size(), 1u);
   // ...and through the engine's own query endpoint.
   auto q = obs::ObservatoryQuery("profiles where total_us > 100");

@@ -18,7 +18,7 @@
 #include "adapt/session.h"
 #include "dbmachine/scenarios.h"
 #include "obs/trace_export.h"
-#include "obs/trace_table.h"
+#include "obs/observatory.h"
 #include "obs/tracectx.h"
 #include "query/executor.h"
 #include "query/expr.h"
@@ -289,11 +289,11 @@ TEST(TraceTable, SpansQueryableThroughExecutor) {
     stage.SetSimRange(100, 50);
   }
 
-  data::Relation rel = obs::SpansRelation(tracer);
+  data::Relation rel = obs::ToRelation(obs::SpansTable(tracer));
   ASSERT_EQ(rel.rows().size(), 2u);
 
   // σ(category = 'test.operator') over spans(...).
-  data::Schema schema = obs::SpansSchema();
+  const data::Schema& schema = rel.schema();
   auto cat = query::Col(schema, "category");
   ASSERT_TRUE(cat.ok());
   auto root = std::make_unique<query::FilterOp>(
@@ -369,8 +369,8 @@ TEST(DecisionLog, SwitchRuleFiringCapturesGaugeInputs) {
   EXPECT_EQ(d.gauges[0].value, 95.5);
 
   // σ(constraint_id = 455) over decisions(...).
-  data::Relation rel = obs::DecisionsRelation();
-  data::Schema schema = obs::DecisionsSchema();
+  data::Relation rel = obs::ToRelation(obs::DecisionsTable());
+  const data::Schema& schema = rel.schema();
   auto col = query::Col(schema, "constraint_id");
   ASSERT_TRUE(col.ok());
   auto root = std::make_unique<query::FilterOp>(

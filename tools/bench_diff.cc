@@ -30,12 +30,21 @@
 
 #include "common/json.h"
 #include "common/result.h"
+#include "common/strings.h"
 
 namespace {
 
 using dbm::JsonValue;
+using dbm::ParseNumber;
 using dbm::Result;
 using dbm::Status;
+
+void Usage() {
+  std::fprintf(stderr,
+               "usage: bench_diff BASELINE.metrics.json "
+               "CURRENT.metrics.json [--threshold=0.10] "
+               "[--filter=SUBSTRING] [--all]\n");
+}
 
 Result<std::string> ReadFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -106,7 +115,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::atof(arg.c_str() + 12);
+      std::optional<double> t = ParseNumber<double>(arg.substr(12));
+      if (!t.has_value()) {
+        std::fprintf(stderr, "bench_diff: bad --threshold='%s'\n",
+                     arg.c_str() + 12);
+        Usage();
+        return 2;
+      }
+      threshold = *t;
     } else if (arg.rfind("--filter=", 0) == 0) {
       filter = arg.substr(9);
     } else if (arg == "--all") {
@@ -119,10 +135,7 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: bench_diff BASELINE.metrics.json "
-                 "CURRENT.metrics.json [--threshold=0.10] "
-                 "[--filter=SUBSTRING] [--all]\n");
+    Usage();
     return 2;
   }
 

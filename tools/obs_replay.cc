@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/strings.h"
 #include "obs/blackbox/reader.h"
 #include "obs/blackbox/record.h"
 
@@ -50,6 +51,18 @@ void Usage() {
                "[--window=US] [--limit=N] [--json]\n");
 }
 
+/// Parses the whole of a flag's value as a T; a malformed number is a
+/// usage error, never a silent 0 or a wrapped negative.
+template <typename T>
+bool NumberFlag(const char* flag, const char* text, T* out) {
+  if (auto v = dbm::ParseNumber<T>(text)) {
+    *out = *v;
+    return true;
+  }
+  std::fprintf(stderr, "obs_replay: bad %s='%s'\n", flag, text);
+  return false;
+}
+
 bool ParseArgs(int argc, char** argv, Args* out) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -63,11 +76,11 @@ bool ParseArgs(int argc, char** argv, Args* out) {
     if (const char* v = value("--dir")) {
       out->dir = v;
     } else if (const char* v = value("--at")) {
-      out->at_us = std::strtoll(v, nullptr, 10);
+      if (!NumberFlag("--at", v, &out->at_us)) return false;
     } else if (const char* v = value("--window")) {
-      out->window_us = std::strtoll(v, nullptr, 10);
+      if (!NumberFlag("--window", v, &out->window_us)) return false;
     } else if (const char* v = value("--limit")) {
-      out->limit = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!NumberFlag("--limit", v, &out->limit)) return false;
     } else if (arg == "--json") {
       out->json = true;
     } else if (arg[0] != '-' && out->dir.empty()) {
@@ -106,9 +119,7 @@ void RenderJson(const Args& args, const TelemetryReader& reader,
   for (const auto& [name, value] : reader.GaugesAsOf(at_us)) {
     if (!first) out += ",";
     first = false;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    out += "\"" + dbm::JsonEscape(name) + "\":" + buf;
+    out += "\"" + dbm::JsonEscape(name) + "\":" + dbm::JsonNumber(value);
   }
   out += "},\"timeline\":[";
   first = true;
@@ -125,9 +136,7 @@ void RenderJson(const Args& args, const TelemetryReader& reader,
     out += ",\"name\":\"" + Esc(r.name) + "\"";
     out += ",\"text\":\"" + Esc(r.text) + "\"";
     out += ",\"extra\":\"" + Esc(r.extra) + "\"";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", r.a);
-    out += std::string(",\"a\":") + buf + "}";
+    out += ",\"a\":" + dbm::JsonNumber(r.a) + "}";
   }
   out += "]}";
   std::printf("%s\n", out.c_str());

@@ -26,6 +26,7 @@
 
 #include "common/crc32.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "storage/wal.h"
 
 namespace {
@@ -61,7 +62,13 @@ bool ParseArgs(int argc, char** argv, Args* out) {
     if (const char* v = value("--dir")) {
       out->dir = v;
     } else if (const char* v = value("--limit")) {
-      out->limit = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      // Whole or nothing: "-1" must not wrap to SIZE_MAX.
+      std::optional<size_t> limit = dbm::ParseNumber<size_t>(v);
+      if (!limit.has_value()) {
+        std::fprintf(stderr, "wal_dump: bad --limit='%s'\n", v);
+        return false;
+      }
+      out->limit = *limit;
     } else if (arg == "--frames") {
       out->frames = true;
     } else if (arg == "--json") {
