@@ -8,10 +8,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_trajectory.h"
+#include "common/strings.h"
 #include "obs/export.h"
 #include "obs/health.h"
 #include "obs/trace_export.h"
@@ -36,7 +38,9 @@ inline BenchContext& Context() {
 /// the bench happened to be launched from — and handles the tracing
 /// flags:
 ///   --trace               sample every root span (rate 1.0)
-///   --trace-sample=<rate> sample this fraction of root spans
+///   --trace-sample=<rate> sample this fraction of root spans; a rate
+///                         that is not a whole number in [0, 1] prints
+///                         a usage line and exits 2
 /// With tracing on, MetricsSidecar additionally writes
 /// `<id>.trace.json` (Chrome/Perfetto trace_event format).
 ///
@@ -56,8 +60,18 @@ inline void Init(int* argc, char** argv) {
     if (arg == "--trace") {
       ctx.trace = true;
     } else if (arg.rfind("--trace-sample=", 0) == 0) {
+      // Whole or nothing: "abc" is not rate 0, "1.5" is not rate 1.
+      const std::string value = arg.substr(15);
+      std::optional<double> rate = ParseNumber<double>(value);
+      if (!rate.has_value() || !(*rate >= 0.0 && *rate <= 1.0)) {
+        std::fprintf(stderr,
+                     "bad --trace-sample='%s': want a rate in [0, 1]\n"
+                     "usage: %s [--trace] [--trace-sample=<rate in [0, 1]>]\n",
+                     value.c_str(), argv[0]);
+        std::exit(2);
+      }
       ctx.trace = true;
-      ctx.trace_sample = std::atof(arg.c_str() + 15);
+      ctx.trace_sample = *rate;
     } else {
       argv[kept++] = argv[i];
     }

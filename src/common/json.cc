@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -276,6 +277,7 @@ std::string JsonEscape(std::string_view s) {
 }
 
 std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;

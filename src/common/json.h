@@ -61,7 +61,8 @@ std::string JsonEscape(std::string_view s);
 
 /// Renders a double the way every JSON emitter here does: "%.6g".
 /// %.17g round-trips doubles but makes the sidecars unreadable; six
-/// significant digits are plenty for metric values.
+/// significant digits are plenty for metric values. JSON has no NaN or
+/// infinity, so a non-finite value renders as null.
 std::string JsonNumber(double v);
 
 }  // namespace dbm

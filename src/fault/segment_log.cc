@@ -24,6 +24,15 @@ struct SegmentFile {
   std::string name;
 };
 
+/// Opens `path` with `flags`, fsyncs it and closes it.
+bool FsyncPath(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
+}
+
 /// The sequence number of "<prefix><digits>.seg"; nullopt for any other
 /// file name.
 std::optional<uint64_t> SegmentSeq(const SegmentFormat& format,
@@ -185,6 +194,13 @@ Status ScanSegments(const SegmentFormat& format, const std::string& dir,
   return Status::OK();
 }
 
+Status FsyncDirectory(const std::string& dir) {
+  if (!FsyncPath(dir, O_RDONLY | O_DIRECTORY)) {
+    return Status::IoError("fsync failed on directory '" + dir + "'");
+  }
+  return Status::OK();
+}
+
 SegmentLog::SegmentLog(const SegmentFormat& format, SegmentLogOptions options)
     : format_(format),
       options_(std::move(options)),
@@ -220,6 +236,13 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
                           static_cast<off_t>(report->truncated_offset)) != 0) {
       return Status::IoError("cannot truncate the torn tail of '" + torn +
                              "'");
+    } else if (!FsyncPath(torn, O_WRONLY)) {
+      // A lost truncate brings the tear back, and the next scan would
+      // stop there, before every segment written after this repair.
+      return Status::IoError("cannot fsync the repaired tail of '" + torn +
+                             "'");
+    } else {
+      log->CountFsync();
     }
     // ...and unlink every segment past the tear, by sequence number: a
     // header tear has just unlinked the torn segment itself, and stale
@@ -264,6 +287,7 @@ Status SegmentLog::OpenSegment() {
   }
   segments_.push_back({.path = std::move(path), .seq = seq});
   ++segments_created_;
+  dir_dirty_ = true;
   return Status::OK();
 }
 
@@ -339,8 +363,18 @@ Status SegmentLog::Fsync() {
     return Status::IoError("fsync failed on segment '" +
                            segments_.back().path + "'");
   }
-  ++fsyncs_;
-  if (options_.fsync_counter != nullptr) options_.fsync_counter->Add(1);
+  CountFsync();
+  // A segment's bytes are no use after a power loss if its directory
+  // entry is not durable too, nor is an unlink that has not reached the
+  // disk. The same fsyncgate rule holds for the directory.
+  if (dir_dirty_) {
+    if (Status synced = FsyncDirectory(dir()); !synced.ok()) {
+      dead_ = true;
+      return synced;
+    }
+    dir_dirty_ = false;
+    ++dir_fsyncs_;
+  }
   if (segments_.front().seq > unsynced_seal_seq_) durable_lsn_ = flushed_lsn_;
   bytes_since_fsync_ = 0;
   return Status::OK();
@@ -369,8 +403,14 @@ size_t SegmentLog::UnlinkOldestWhile(
     ::unlink(segments_.front().path.c_str());
     segments_.pop_front();
     ++unlinked;
+    dir_dirty_ = true;
   }
   return unlinked;
+}
+
+void SegmentLog::CountFsync() {
+  ++fsyncs_;
+  if (options_.fsync_counter != nullptr) options_.fsync_counter->Add(1);
 }
 
 void SegmentLog::Close() {

@@ -27,10 +27,15 @@
 //    trusted history. Nothing after it — later frames of that segment
 //    and every later segment — is believed.
 //  * Reopening (SegmentLog::Open). Scan, physically truncate the torn
-//    tail, unlink every segment past it, and number new segments after
-//    the survivors (reusing a header-only last one), so new frames never
-//    land behind bytes no reader would trust and no stale segment
-//    outlives a repair.
+//    tail (and fsync it), unlink every segment past it, and number new
+//    segments after the survivors (reusing a header-only last one), so
+//    new frames never land behind bytes no reader would trust and no
+//    stale segment outlives a repair.
+//  * The directory. Creating or unlinking a segment changes the
+//    directory, which no fsync of a segment makes durable. The log notes
+//    each such change, and the next fsync also fsyncs the directory
+//    before it moves the barrier — one directory fsync per segment
+//    created, and none while nothing changed.
 //
 // Each frame may carry a codec-assigned sequence number — the WAL's LSN;
 // the black box numbers its frames from 1 in each process. The log keeps
@@ -150,6 +155,10 @@ struct SegmentScanReport {
 Status ScanSegments(const SegmentFormat& format, const std::string& dir,
                     const FrameFn& fn, SegmentScanReport* report);
 
+/// fsyncs the directory `dir`, making the files created in it and
+/// unlinked from it durable.
+Status FsyncDirectory(const std::string& dir);
+
 struct SegmentLogOptions {
   std::string dir;                    // created if absent
   size_t segment_bytes = 1 << 20;     // rotate before a frame passes this
@@ -170,8 +179,9 @@ class SegmentLog {
   /// Creates the directory if needed, scans it with `fn` (filling
   /// *report), repairs it as described above and opens a fresh segment.
   /// Every trusted frame counts as durable: the next scan reads it back.
-  /// On an empty directory this lists it, creates one file and writes
-  /// its header — no file is read and nothing is fsynced.
+  /// A repaired torn tail is fsynced here. On an empty directory this
+  /// lists it, creates one file and writes its header — no file is read
+  /// and nothing is fsynced.
   static Result<std::unique_ptr<SegmentLog>> Open(const SegmentFormat& format,
                                                   SegmentLogOptions options,
                                                   const FrameFn& fn,
@@ -188,10 +198,11 @@ class SegmentLog {
   /// `at_us` stamps the fault record of an injected crash.
   Status Append(std::string_view frame, uint64_t lsn, SimTime at_us = 0);
 
-  /// fsyncs the open segment and moves the durable barrier up to the
-  /// flushed one — unless a live sealed segment holds frames no fsync
-  /// covered, which the barrier may not pass. On failure the log dies
-  /// and the barrier stays.
+  /// fsyncs the open segment, and the directory when a segment was
+  /// created or unlinked since the last one, then moves the durable
+  /// barrier up to the flushed one — unless a live sealed segment holds
+  /// frames no fsync covered, which the barrier may not pass. On failure
+  /// the log dies and the barrier stays.
   Status Fsync();
 
   /// Unlinks sealed segments, oldest first, while `drop` says so; the
@@ -206,6 +217,7 @@ class SegmentLog {
   uint64_t durable_lsn() const { return durable_lsn_; }
   uint64_t bytes() const { return bytes_; }  // frame bytes appended
   uint64_t fsyncs() const { return fsyncs_; }
+  uint64_t dir_fsyncs() const { return dir_fsyncs_; }
   uint64_t segments_created() const { return segments_created_; }
   /// The live segments, oldest first; the last one is open for appends.
   const std::deque<Segment>& segments() const { return segments_; }
@@ -218,6 +230,8 @@ class SegmentLog {
   /// Closes the open segment before a rotation, first fsyncing it if it
   /// holds un-fsynced frames and fsync_on_seal is set.
   Status Seal();
+  /// Counts one segment fsync.
+  void CountFsync();
 
   const SegmentFormat format_;
   const SegmentLogOptions options_;
@@ -231,6 +245,8 @@ class SegmentLog {
   uint64_t bytes_since_fsync_ = 0;  // > 0: the open segment is un-fsynced
   uint64_t unsynced_seal_seq_ = 0;  // last segment sealed un-fsynced
   uint64_t fsyncs_ = 0;
+  uint64_t dir_fsyncs_ = 0;
+  bool dir_dirty_ = false;  // a segment created or unlinked, not yet fsynced
   uint64_t segments_created_ = 0;
   bool dead_ = false;
 };

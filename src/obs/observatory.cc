@@ -1,6 +1,7 @@
 #include "obs/observatory.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -38,6 +39,14 @@ std::string PromName(const std::string& name) {
   return out;
 }
 
+/// A sample value as the Prometheus text format spells it: JsonNumber's
+/// digits, and NaN, +Inf and -Inf where JSON can only say null.
+std::string PromNumber(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  return JsonNumber(v);
+}
+
 std::string RenderPromLines(const std::vector<MetricSnapshot>& metrics) {
   std::string out;
   for (const MetricSnapshot& m : metrics) {
@@ -49,14 +58,14 @@ std::string RenderPromLines(const std::vector<MetricSnapshot>& metrics) {
         break;
       case MetricKind::kGauge:
         out += "# TYPE " + name + " gauge\n";
-        out += name + " " + JsonNumber(m.value) + "\n";
+        out += name + " " + PromNumber(m.value) + "\n";
         break;
       case MetricKind::kHistogram:
         out += "# TYPE " + name + " summary\n";
-        out += name + "{quantile=\"0.5\"} " + JsonNumber(m.p50) + "\n";
-        out += name + "{quantile=\"0.9\"} " + JsonNumber(m.p90) + "\n";
-        out += name + "{quantile=\"0.99\"} " + JsonNumber(m.p99) + "\n";
-        out += name + "_sum " + JsonNumber(m.sum) + "\n";
+        out += name + "{quantile=\"0.5\"} " + PromNumber(m.p50) + "\n";
+        out += name + "{quantile=\"0.9\"} " + PromNumber(m.p90) + "\n";
+        out += name + "{quantile=\"0.99\"} " + PromNumber(m.p99) + "\n";
+        out += name + "_sum " + PromNumber(m.sum) + "\n";
         out += name + "_count " + std::to_string(m.count) + "\n";
         break;
     }
@@ -332,7 +341,7 @@ std::string HistoryProm(const blackbox::TelemetryReader& reader,
   for (const auto& [name, value] : reader.GaugesAsOf(to_us)) {
     const std::string prom = PromName("history.bus." + name);
     out += "# TYPE " + prom + " gauge\n";
-    out += prom + " " + JsonNumber(value) + "\n";
+    out += prom + " " + PromNumber(value) + "\n";
   }
   return out;
 }
@@ -401,7 +410,7 @@ Result<std::string> ServeObservatory(
       return Status::InvalidArgument(
           "/obs/profile supports ?fmt=json|prom|collapsed");
     }
-    return ProfilesJson(plane);
+    return "{\"profiles\":" + ProfilesJson(plane) + "}";
   }
   if (endpoint == "/obs/history") {
     std::map<std::string, std::string> params = ParseParams(query_string);

@@ -72,8 +72,8 @@ void ProfilePlane::Clear() {
 }
 
 std::string ProfilesJson(const ProfilePlane& plane, size_t request_tail) {
-  std::string out = "{\"profiles\":{\"requests\":" +
-                    RowsJson(ProfilesTable(plane), request_tail);
+  std::string out =
+      "{\"requests\":" + RowsJson(ProfilesTable(plane), request_tail);
   out += ",\"requests_dropped\":" + std::to_string(plane.requests_dropped());
   out += ",\"queries\":[";
   bool first = true;
@@ -92,7 +92,7 @@ std::string ProfilesJson(const ProfilePlane& plane, size_t request_tail) {
     out += ",\"profile\":" + (q.json.empty() ? std::string("null") : q.json);
     out += "}";
   }
-  out += "]}}";
+  out += "]}";
   return out;
 }
 

@@ -109,9 +109,10 @@ class ProfilePlane {
   Histogram& total_us_;
 };
 
-/// {"profiles":{"requests":[...],"requests_dropped":N,"queries":[...]}} —
-/// the newest `request_tail` rows of the profiles table plus every
-/// retained query summary.
+/// {"requests":[...],"requests_dropped":N,"queries":[...]} — the newest
+/// `request_tail` rows of the profiles table plus every retained query
+/// summary. /obs/profile serves it under a "profiles" key; the flight
+/// record's "profiles" section is this object itself.
 std::string ProfilesJson(const ProfilePlane& plane = ProfilePlane::Default(),
                          size_t request_tail = 64);
 

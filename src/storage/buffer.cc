@@ -28,6 +28,12 @@ class LatchGuard {
   std::mutex& mu_;
 };
 
+/// Writeback order: ascending page id, so a crash part-way through a
+/// group leaves the lowest pages written, not an arbitrary subset.
+constexpr auto kByPage = [](const auto& a, const auto& b) {
+  return a.id < b.id;
+};
+
 }  // namespace
 
 BufferManager::BufferManager(std::string name, size_t frames, size_t shards)
@@ -155,21 +161,24 @@ Status BufferManager::FlushAll() {
   // clean prefix of the relation, never an arbitrary subset.
   std::vector<Writeback> dirty;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (size_t f = s; f < frames_; f += shards_.size()) {
-      // Pinned frames are skipped, like the eviction path: the pin
-      // holder mutates pool_[frame] without the shard latch, so a
-      // writeback here could snapshot a half-mutated image and stamp it
-      // with a valid CRC — recovery would then trust a torn page.
-      if (resident_[f] != kInvalidPage && dirty_[f] && !pinned_[f]) {
-        dirty.push_back({.id = resident_[f], .frame = f});
-      }
+    std::lock_guard<std::mutex> lock(shards_[s]->mu);
+    CollectDirty(s, &dirty);
+  }
+  std::sort(dirty.begin(), dirty.end(), kByPage);
+  return WriteBackGroup(disk, dirty, /*latched=*/nullptr);
+}
+
+void BufferManager::CollectDirty(size_t shard_index,
+                                 std::vector<Writeback>* out) const {
+  for (size_t f = shard_index; f < frames_; f += shards_.size()) {
+    // Pinned frames are skipped: the pin holder mutates pool_[frame]
+    // without the shard latch, so a writeback here could snapshot a
+    // half-mutated image and stamp it with a valid CRC — recovery would
+    // then trust a torn page.
+    if (resident_[f] != kInvalidPage && dirty_[f] && !pinned_[f]) {
+      out->push_back({.id = resident_[f], .frame = f});
     }
   }
-  std::sort(dirty.begin(), dirty.end(),
-            [](const Writeback& a, const Writeback& b) { return a.id < b.id; });
-  return WriteBackGroup(disk, dirty, /*latched=*/nullptr);
 }
 
 Status BufferManager::WriteBackGroup(DiskComponent* disk,
@@ -283,21 +292,39 @@ Result<size_t> BufferManager::FindFreeOrEvict(size_t shard_index,
   for (size_t f = shard_index; f < frames_; f += step) {
     masked[f] = pinned_[f] != 0;
   }
-  std::lock_guard<std::mutex> policy_lock(policy_mu_);
-  DBM_ASSIGN_OR_RETURN(size_t victim, policy->PickVictim(masked));
+  size_t victim = 0;
+  {
+    std::lock_guard<std::mutex> policy_lock(policy_mu_);
+    DBM_ASSIGN_OR_RETURN(victim, policy->PickVictim(masked));
+  }
   if (victim % step != shard_index || pinned_[victim]) {
     return Status::Internal("policy picked an out-of-shard or pinned victim");
   }
   PageId old = resident_[victim];
   if (dirty_[victim]) {
-    // A group of one, forced under the latch: the frame is reused the
-    // moment this returns.
+    // An eviction group: every dirty, unpinned frame of this shard, in
+    // ascending page order, under one log force — later evictions here
+    // then find clean victims. The shard latch covers exactly these
+    // frames, so the group is logged, forced and written under it (the
+    // victim is reused the moment this returns); policy_mu_ is not held
+    // across the I/O — no other shard touches this shard's policy state.
     DBM_ASSIGN_OR_RETURN(DiskComponent * disk,
                          Require<DiskComponent>("disk"));
-    Writeback wb{.id = old, .frame = victim};
-    DBM_RETURN_NOT_OK(WriteBackGroup(disk, {&wb, 1}, &shard));
+    std::vector<Writeback> group;
+    CollectDirty(shard_index, &group);
+    std::sort(group.begin(), group.end(), kByPage);
+    Status written = WriteBackGroup(disk, group, &shard);
+    // Only the victim's own failure fails the eviction: another member
+    // whose write failed stays dirty for the next flush or eviction.
+    if (dirty_[victim]) {
+      return written.ok() ? Status::Internal("eviction left its victim dirty")
+                          : written;
+    }
   }
-  policy->OnEvict(victim);
+  {
+    std::lock_guard<std::mutex> policy_lock(policy_mu_);
+    policy->OnEvict(victim);
+  }
   shard.where.erase(old);
   shard.pin_count.erase(old);
   resident_[victim] = kInvalidPage;

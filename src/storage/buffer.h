@@ -56,8 +56,10 @@ struct BufferStats {
 /// begins, so the log always covers the page file and a torn slot can
 /// always be repaired from a durable image. One barrier covers a whole
 /// group of images (group commit): FlushAll logs every dirty frame, forces
-/// the log once, then writes the pages; eviction is a group of one. Each
-/// frame carries two LSNs: rec_lsn (first dirtying since the last
+/// the log once, then writes the pages. Eviction does the same for the
+/// victim's shard: a dirty victim takes every dirty unpinned frame of its
+/// shard with it under one force, so the next evictions there find clean
+/// victims. Each frame carries two LSNs: rec_lsn (first dirtying since the last
 /// writeback — the recovery horizon) and logged_lsn (the image a
 /// writeback in flight logged, cleared the moment the frame changes, so
 /// a page is only ever written under the LSN of identical logged bytes).
@@ -135,7 +137,9 @@ class BufferManager : public component::Component {
     return *shards_[id % shards_.size()];
   }
 
-  /// Finds a free in-shard frame or evicts an unpinned one. Caller holds
+  /// Finds a free in-shard frame or evicts an unpinned one, writing back
+  /// the shard's dirty frames as one group when the victim is dirty.
+  /// Fails only when the victim itself could not be written. Caller holds
   /// the shard mutex.
   Result<size_t> FindFreeOrEvict(size_t shard_index, Shard& shard);
 
@@ -151,15 +155,19 @@ class BufferManager : public component::Component {
     Lsn lsn = 0;
   };
 
+  /// Appends the resident, dirty, unpinned frames of shard
+  /// `shard_index` to *out. Caller holds that shard's latch.
+  void CollectDirty(size_t shard_index, std::vector<Writeback>* out) const;
+
   /// The one WAL-before-writeback routine, for FlushAll's dirty set and
-  /// eviction's single victim, in `group` order: log each frame still
+  /// an eviction's shard, in `group` order: log each frame still
   /// resident, dirty and unpinned (stamping logged_lsn), force the log
   /// once, then write each frame whose stamp survived. `latched` is the
   /// shard whose latch the caller holds (eviction, which forces under
-  /// it: the frame is reused the moment this returns); null takes each
+  /// it: the victim is reused the moment this returns); null takes each
   /// frame's latch per step and holds none across the force. Without a
   /// WAL only the write step runs. Attempts every frame and returns the
-  /// first error.
+  /// first error; a frame whose write failed stays dirty.
   Status WriteBackGroup(DiskComponent* disk, std::span<Writeback> group,
                         Shard* latched);
 

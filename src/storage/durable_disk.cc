@@ -5,11 +5,13 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
 
 #include "common/crc32.h"
 #include "fault/injector.h"
 #include "fault/log.h"
 #include "fault/recovery.h"
+#include "fault/segment_log.h"
 #include "obs/tracectx.h"
 
 namespace dbm::storage {
@@ -111,7 +113,8 @@ Result<std::unique_ptr<FileDiskComponent>> FileDiskComponent::Open(
     return Status::Unavailable("cannot stat page file '" + path + "'");
   }
   size_t pages = 0;
-  if (st.st_size == 0) {
+  const bool fresh = st.st_size == 0;
+  if (fresh) {
     uint8_t header[kPageFileHeaderBytes];
     EncodePageFileHeader(header);
     if (::pwrite(fd, header, sizeof(header), 0) !=
@@ -135,8 +138,10 @@ Result<std::unique_ptr<FileDiskComponent>> FileDiskComponent::Open(
     pages = static_cast<size_t>(st.st_size - kPageFileHeaderBytes) /
             kPageSlotBytes;
   }
-  return std::unique_ptr<FileDiskComponent>(
+  std::unique_ptr<FileDiskComponent> disk(
       new FileDiskComponent(std::move(name), path, fd, pages));
+  disk->dir_dirty_ = fresh;
+  return disk;
 }
 
 FileDiskComponent::~FileDiskComponent() {
@@ -274,7 +279,24 @@ Status FileDiskComponent::Sync() {
     return Status::IoError("fsync failed on page file '" + path_ + "'");
   }
   m_fsyncs_->Add(1);
+  if (dir_dirty_) {
+    // The file's name, not only its bytes: a checkpoint passes this
+    // barrier before it unlinks the log segments that could rebuild it.
+    std::string dir = std::filesystem::path(path_).parent_path().string();
+    if (Status synced = fault::FsyncDirectory(dir.empty() ? "." : dir);
+        !synced.ok()) {
+      dead_ = true;
+      return synced;
+    }
+    dir_dirty_ = false;
+    ++dir_fsyncs_;
+  }
   return Status::OK();
+}
+
+uint64_t FileDiskComponent::dir_fsyncs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dir_fsyncs_;
 }
 
 bool FileDiskComponent::dead() const {

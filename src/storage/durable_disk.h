@@ -90,12 +90,14 @@ class FileDiskComponent : public DiskComponent {
   /// exactly the "replay needed" predicate.
   uint64_t PageLsn(PageId id);
 
-  /// fsync the page file. On failure the disk dies: the dropped dirty
-  /// pages cannot be re-synced, and pretending the barrier passed would
-  /// let checkpoint truncation unlink the WAL images that could repair
-  /// them.
+  /// fsync the page file, and its directory the first time after Open
+  /// created the file. On failure the disk dies: the dropped dirty pages
+  /// cannot be re-synced, and pretending the barrier passed would let
+  /// checkpoint truncation unlink the WAL images that could repair them.
   Status Sync() override;
 
+  /// Directory fsyncs Sync has issued (at most one, for a new file).
+  uint64_t dir_fsyncs() const;
   bool dead() const;
   const std::string& path() const { return path_; }
 
@@ -109,10 +111,12 @@ class FileDiskComponent : public DiskComponent {
   }
 
   std::string path_;
-  mutable std::mutex mu_;  // guards fd_ lifecycle, pages_, dead_
+  mutable std::mutex mu_;  // guards fd_ lifecycle, pages_, dead_, dir_*
   int fd_ = -1;
   size_t pages_ = 0;
   bool dead_ = false;
+  bool dir_dirty_ = false;  // Open created the file; its name is not durable
+  uint64_t dir_fsyncs_ = 0;
 
   fault::Point* write_point_;
 

@@ -15,9 +15,10 @@
 // FsyncPolicy governs how the barrier advances: kNever (it trails until
 // an explicit Flush — the deterministic-test mode), kInterval (fsync
 // every fsync_interval_bytes), kCommit (Durable(lsn) fsyncs immediately,
-// so the WAL-before-writeback barrier is a real fsync per flush or per
-// eviction: BufferManager::FlushAll logs every dirty page, then forces
-// once). Under kInterval and kCommit a rotation fsyncs the segment it
+// so the WAL-before-writeback barrier is a real fsync per writeback
+// group: BufferManager::FlushAll logs every dirty page, then forces
+// once, and a dirty eviction does the same for its shard's dirty
+// pages). Under kInterval and kCommit a rotation fsyncs the segment it
 // seals if it holds un-fsynced frames, so one Durable covers every frame
 // up to its LSN across segments; under kNever the barrier stops before
 // the first frame sealed un-fsynced (fault/segment_log.h).

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/crc32.h"
@@ -279,6 +280,21 @@ TEST(JsonTest, EscapeRoundTripsThroughEmitter) {
   auto v = ParseJson("\"" + JsonEscape(original) + "\"");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->str, original);
+}
+
+TEST(JsonTest, NumberRendersNonFiniteAsNull) {
+  EXPECT_EQ(JsonNumber(1.5), "1.5");
+  EXPECT_EQ(JsonNumber(-0.25), "-0.25");
+  EXPECT_EQ(JsonNumber(1234567.0), "1.23457e+06");
+  // JSON has no NaN or infinity: each is null, which parses.
+  for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(JsonNumber(v), "null");
+    auto doc = ParseJson("[" + JsonNumber(v) + "]");
+    ASSERT_TRUE(doc.ok());
+    EXPECT_TRUE(doc->array.at(0).IsNull());
+  }
 }
 
 TEST(Crc32Test, KnownAnswerVectors) {

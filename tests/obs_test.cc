@@ -2,11 +2,13 @@
 // trace spans, multi-threaded aggregation exactness, JSON export, and
 // the MetricsTable round trip through the repo's own query engine.
 
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/observatory.h"
@@ -188,6 +190,26 @@ TEST(Export, JsonContainsMetrics) {
   EXPECT_NE(json.find("\"counter\""), std::string::npos);
   EXPECT_NE(json.find("\"j.hist\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
+}
+
+TEST(Export, NonFiniteGaugesStayParseableJsonAndPrometheus) {
+  Registry reg;
+  reg.GetGauge("g.nan").Set(std::numeric_limits<double>::quiet_NaN());
+  reg.GetGauge("g.inf").Set(std::numeric_limits<double>::infinity());
+  auto doc = ParseJson(obs::ToJson(reg.Snapshot()));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* metrics = doc->Find("metrics");
+  ASSERT_TRUE(metrics != nullptr && metrics->IsArray());
+  ASSERT_EQ(metrics->array.size(), 2u);
+  for (const JsonValue& m : metrics->array) {
+    const JsonValue* value = m.Find("value");
+    ASSERT_NE(value, nullptr) << m.Find("name")->StringOr("");
+    EXPECT_TRUE(value->IsNull()) << m.Find("name")->StringOr("");
+  }
+  // The Prometheus text format spells them out.
+  const std::string prom = obs::PrometheusText(reg);
+  EXPECT_NE(prom.find("\ng_nan NaN\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\ng_inf +Inf\n"), std::string::npos) << prom;
 }
 
 TEST(Export, WriteJsonFileRoundTrip) {

@@ -26,6 +26,7 @@
 #include "obs/blackbox/reader.h"
 #include "obs/health.h"
 #include "obs/observatory.h"
+#include "obs/profile.h"
 #include "obs/table.h"
 #include "obs/timeseries.h"
 #include "patia/observatory.h"
@@ -696,6 +697,10 @@ TEST(FlightRecorderTest, DumpIsReparseable) {
   obs::LoopHealth::Default().RecordLoopLatency(latency);
   fault::Record(fault::FaultEventKind::kInjected, "flight.point", "detail",
                 Millis(1));
+  obs::RequestProfile request;
+  request.total_us = 3;
+  request.SetResource("/flight");
+  obs::ProfilePlane::Default().RecordRequest(request);
 
   const std::string path = "observatory_test.dump.flight.json";
   std::remove(path.c_str());
@@ -717,6 +722,12 @@ TEST(FlightRecorderTest, DumpIsReparseable) {
     EXPECT_FALSE(rows->array.empty()) << section;
   }
   EXPECT_NE(flight->Find("health"), nullptr);
+  // The profiling plane's object itself, not the /obs/profile body.
+  const JsonValue* profiles = flight->Find("profiles");
+  ASSERT_NE(profiles, nullptr);
+  const JsonValue* requests = profiles->Find("requests");
+  ASSERT_TRUE(requests != nullptr && requests->IsArray());
+  EXPECT_FALSE(requests->array.empty());
   const JsonValue* series = flight->Find("timeseries");
   ASSERT_TRUE(series != nullptr && series->IsArray());
   bool found = false;
@@ -728,6 +739,7 @@ TEST(FlightRecorderTest, DumpIsReparseable) {
   obs::Tracer::Default().Clear();
   obs::LoopHealth::Default().Clear();
   fault::FaultLog::Default().Clear();
+  obs::ProfilePlane::Default().Clear();
 }
 
 TEST(FlightRecorderDeathTest, CheckFailureWritesSidecar) {

@@ -2,7 +2,9 @@
 // and the black box's telemetry records. Everything the shared segment
 // log owns — framing, the torn-tail rule, reopen repair, numeric segment
 // order, fsyncgate and the crash act-out — is checked once here, for
-// each codec, through that codec's own writer and reader.
+// each codec, through that codec's own writer and reader, or through the
+// shared writer in that codec's format where the check is about the
+// writer alone (directory fsyncs).
 
 #include <gtest/gtest.h>
 
@@ -279,6 +281,23 @@ class LogFixture : public ::testing::Test {
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
+  /// The shared writer itself, in this codec's format over dir_, with
+  /// `segment_frames` frames a segment and every seal fsynced.
+  Result<std::unique_ptr<fault::SegmentLog>> OpenBareLog(
+      size_t segment_frames, fault::SegmentScanReport* report = nullptr) {
+    fault::SegmentScanReport discarded;
+    fault::SegmentLogOptions options;
+    options.dir = dir_;
+    options.segment_bytes = codec_->SegmentBytes(segment_frames);
+    options.fsync_on_seal = true;
+    return fault::SegmentLog::Open(
+        codec_->format(), std::move(options),
+        [](std::string_view, const std::string&, uint64_t*) {
+          return fault::ScanStep::kNext;
+        },
+        report != nullptr ? report : &discarded);
+  }
+
   size_t FilesInDir() const {
     size_t n = 0;
     for (const auto& e [[maybe_unused]] : fs::directory_iterator(dir_)) ++n;
@@ -526,6 +545,78 @@ TEST_P(SegmentLogTest, BarrierNeverPassesASegmentNoFsyncReached) {
     }
     codec_->Close();
   }
+}
+
+// ---------------------------------------------------------------------
+// Directory fsyncs
+// ---------------------------------------------------------------------
+
+TEST_P(SegmentLogTest, DirectoryChangesReachTheDiskAtTheNextFsync) {
+  auto log = OpenBareLog(/*segment_frames=*/2);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  fault::SegmentLog& l = **log;
+  auto append = [&](uint64_t id) {
+    return l.Append(codec_->EncodeFrame(id), id);
+  };
+  // Open creates the first segment but fsyncs nothing.
+  EXPECT_EQ(l.dir_fsyncs(), 0u);
+  EXPECT_EQ(l.fsyncs(), 0u);
+  ASSERT_TRUE(append(1).ok());
+  ASSERT_TRUE(l.Fsync().ok());
+  EXPECT_EQ(l.dir_fsyncs(), 1u);  // the first segment's name
+  ASSERT_TRUE(l.Fsync().ok());
+  EXPECT_EQ(l.dir_fsyncs(), 1u);  // nothing changed since
+
+  // A rotation: the seal fsyncs the full segment, whose name is already
+  // durable; the next fsync covers the new segment's name.
+  ASSERT_TRUE(append(2).ok());
+  ASSERT_TRUE(append(3).ok());
+  ASSERT_EQ(l.segments().size(), 2u);
+  EXPECT_EQ(l.fsyncs(), 3u);
+  EXPECT_EQ(l.dir_fsyncs(), 1u);
+  ASSERT_TRUE(l.Fsync().ok());
+  EXPECT_EQ(l.dir_fsyncs(), 2u);
+  EXPECT_EQ(l.durable_lsn(), 3u);
+
+  // An unlink, likewise.
+  EXPECT_EQ(l.UnlinkOldestWhile([](const fault::Segment&) { return true; }),
+            1u);
+  EXPECT_EQ(l.dir_fsyncs(), 2u);
+  ASSERT_TRUE(l.Fsync().ok());
+  EXPECT_EQ(l.dir_fsyncs(), 3u);
+}
+
+TEST_P(SegmentLogTest, SealOfAnUnsyncedLogFsyncsTheDirectory) {
+  // No fsync before the first rotation: the seal's fsync is the first,
+  // so it also makes the first segment's name durable.
+  auto log = OpenBareLog(/*segment_frames=*/2);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  for (uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_TRUE((*log)->Append(codec_->EncodeFrame(id), id).ok());
+  }
+  EXPECT_EQ((*log)->fsyncs(), 1u);
+  EXPECT_EQ((*log)->dir_fsyncs(), 1u);
+}
+
+TEST_P(SegmentLogTest, RepairFsyncsTheTruncatedSegment) {
+  Write(1, 5);
+  AppendBytes(segments_.back(),
+              codec_->EncodeFrame(6).substr(0, codec_->frame_bytes() / 2));
+  {
+    fault::SegmentScanReport report;
+    auto log = OpenBareLog(/*segment_frames=*/64, &report);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    EXPECT_TRUE(report.truncated);
+    EXPECT_EQ((*log)->fsyncs(), 1u);  // the cut segment, before any append
+    EXPECT_EQ((*log)->dir_fsyncs(), 0u);
+  }
+  // A clean reopen repairs nothing and fsyncs nothing.
+  fault::SegmentScanReport report;
+  auto log = OpenBareLog(/*segment_frames=*/64, &report);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_FALSE(report.truncated);
+  EXPECT_EQ((*log)->fsyncs(), 0u);
+  EXPECT_EQ(ReadBack(&report), Ids(1, 5));
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, SegmentLogTest,

@@ -2,9 +2,11 @@
 // torn tails, segment rotation and truncation, fsync policies, the
 // file-backed disk's CRC slots, WAL-before-writeback, the FlushAll
 // error-reporting contract, FlushAll's group commit under concurrent
-// writers, and the headline property — an injected crash
-// mid-bulk-load recovers to an exactly-once durable prefix under the
-// chaos seeds. Checkpoint frames are fuzzed here; page-image frame
+// writers, eviction groups (one force per shard's dirty frames, and an
+// eviction that fails only for its own victim), and the headline
+// property — an injected crash mid-bulk-load recovers to an
+// exactly-once durable prefix under the chaos seeds, over one shard and
+// over four. Checkpoint frames are fuzzed here; page-image frame
 // fuzzing and the segment log's recovery rules run for both codecs in
 // segment_log_test.
 
@@ -484,6 +486,22 @@ TEST_F(WalTest, FileDiskRoundTripAndReopen) {
   EXPECT_TRUE((*disk)->Read(7, &p).IsNotFound());
 }
 
+TEST_F(WalTest, FileDiskFsyncsTheDirectoryOfANewFileOnce) {
+  {
+    auto disk = FileDiskComponent::Open(PagePath());
+    ASSERT_TRUE(disk.ok());
+    EXPECT_EQ((*disk)->dir_fsyncs(), 0u);
+    ASSERT_TRUE((*disk)->Sync().ok());
+    EXPECT_EQ((*disk)->dir_fsyncs(), 1u);  // the new file's name
+    ASSERT_TRUE((*disk)->Sync().ok());
+    EXPECT_EQ((*disk)->dir_fsyncs(), 1u);
+  }
+  auto disk = FileDiskComponent::Open(PagePath());
+  ASSERT_TRUE(disk.ok());
+  ASSERT_TRUE((*disk)->Sync().ok());
+  EXPECT_EQ((*disk)->dir_fsyncs(), 0u);  // reopened: already durable
+}
+
 TEST_F(WalTest, FileDiskCorruptSlotIsDataLoss) {
   {
     auto disk = FileDiskComponent::Open(PagePath());
@@ -886,10 +904,15 @@ TEST_F(WalTest, FlushAllGroupSpanningRotationsRecovers) {
 
 /// An in-memory disk that keeps the LSN each slot was last written under
 /// and can run a hook inside its next write of one page: another thread
-/// acting between FlushAll's log and write steps, made deterministic.
+/// acting between FlushAll's log and write steps, made deterministic. It
+/// can also fail every write of one page, writing nothing.
 class HookDisk : public DiskComponent {
  public:
   Status Write(PageId id, const Page& page, uint64_t lsn = 0) override {
+    if (id == failing_page_) {
+      return Status::IoError("write of page " + std::to_string(id) +
+                             " refused");
+    }
     DBM_RETURN_NOT_OK(DiskComponent::Write(id, page, lsn));
     slot_lsn_[id] = lsn;
     if (id == hook_page_ && hook_) std::exchange(hook_, nullptr)();
@@ -899,12 +922,15 @@ class HookDisk : public DiskComponent {
     hook_page_ = id;
     hook_ = std::move(hook);
   }
+  /// Fails every write of `id` until called again (kInvalidPage: none).
+  void FailWritesOf(PageId id) { failing_page_ = id; }
   Lsn SlotLsn(PageId id) const { return slot_lsn_.at(id); }
 
  private:
   std::map<PageId, Lsn> slot_lsn_;
   PageId hook_page_ = kInvalidPage;
   std::function<void()> hook_;
+  PageId failing_page_ = kInvalidPage;
 };
 
 TEST_F(WalTest, FlushAllNeverWritesAFrameChangedSinceItWasLogged) {
@@ -1066,27 +1092,193 @@ TEST_F(WalTest, ConcurrentFlushAndCheckpointWriteOnlyLoggedImages) {
 }
 
 // ---------------------------------------------------------------------
+// Eviction groups: a dirty victim takes its shard's dirty frames with it
+// under one log force.
+// ---------------------------------------------------------------------
+
+TEST_F(WalTest, EvictionGroupsForceOncePerShardNotOncePerPage) {
+  // 6,400 orders fill 60 pages. A dirty eviction writes back every dirty
+  // unpinned frame of its shard: 8 frames in 1 shard force once per 8
+  // pages, 16 frames in 4 shards once per 4 pages of a shard.
+  const data::Relation orders = data::gen::Orders(6400, 100, 0.5, 1);
+  struct Case {
+    size_t frames, shards;
+    uint64_t forces, appends;
+  };
+  for (const Case& c : {Case{8, 1, 7, 56}, Case{16, 4, 12, 48}}) {
+    SCOPED_TRACE(std::to_string(c.frames) + " frames, " +
+                 std::to_string(c.shards) + " shards");
+    std::filesystem::remove(PagePath());
+    std::filesystem::remove_all(WalDir());
+    WalOptions options;
+    options.fsync = WalFsyncPolicy::kCommit;
+    auto rig = DurableRig::Make(PagePath(), WalDir(), c.frames, options,
+                                c.shards);
+    ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+    const WalStats before = rig->wal->stats();
+    auto paged = PagedRelation::Load(orders, rig->buffer.get(),
+                                     rig->disk.get());
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_EQ(rig->disk->page_count(), 60u);
+    const WalStats loaded = rig->wal->stats();
+    EXPECT_EQ(loaded.fsyncs - before.fsyncs, c.forces);
+    EXPECT_EQ(loaded.appends - before.appends, c.appends);
+
+    // Every page is logged exactly once: the groups took no page twice,
+    // and the flush logs only what they left dirty.
+    ASSERT_TRUE(rig->buffer->FlushAll().ok());
+    EXPECT_EQ(rig->wal->stats().appends - before.appends, 60u);
+    EXPECT_EQ(LoggedImages().size(), 60u);
+    rig->buffer->SetWal(nullptr);
+  }
+}
+
+/// Four dirty pages filling a four-frame, one-shard pool over a HookDisk
+/// and a kCommit WAL: the next miss evicts page 0 (least recently used)
+/// and writes back all four as one group.
+struct EvictionGroupRig {
+  std::unique_ptr<Wal> wal;
+  std::shared_ptr<HookDisk> disk = std::make_shared<HookDisk>();
+  std::shared_ptr<BufferManager> buffer =
+      std::make_shared<BufferManager>("buf", 4);
+
+  static Result<EvictionGroupRig> Make(WalOptions options) {
+    EvictionGroupRig rig;
+    options.fsync = WalFsyncPolicy::kCommit;
+    DBM_ASSIGN_OR_RETURN(rig.wal, Wal::Open(options));
+    rig.buffer->FindPort("disk")->SetTarget(rig.disk);
+    rig.buffer->FindPort("policy")->SetTarget(std::make_shared<LruPolicy>());
+    rig.buffer->SetWal(rig.wal.get());
+    for (PageId id = 0; id < 5; ++id) rig.disk->Allocate();
+    for (PageId id = 0; id < 4; ++id) {
+      DBM_ASSIGN_OR_RETURN(Page * page, rig.buffer->GetPage(id));
+      page->bytes.fill(uint8_t(0x40 + id));
+      DBM_RETURN_NOT_OK(rig.buffer->Unpin(id, true));
+    }
+    return rig;
+  }
+};
+
+TEST_F(WalTest, EvictionFailsWhenItsVictimCannotBeWritten) {
+  auto rig = EvictionGroupRig::Make({.dir = WalDir()});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  rig->disk->FailWritesOf(0);
+  auto page = rig->buffer->GetPage(4);
+  EXPECT_TRUE(page.status().IsIoError()) << page.status().ToString();
+  EXPECT_EQ(rig->disk->writes(), 3u);  // the rest of the group landed
+  EXPECT_EQ(rig->buffer->stats().evictions, 0u);
+
+  // The victim is still resident (a hit) and still dirty: once its disk
+  // recovers, a flush writes exactly it.
+  const uint64_t hits = rig->buffer->stats().hits;
+  ASSERT_TRUE(rig->buffer->GetPage(0).ok());
+  EXPECT_EQ(rig->buffer->stats().hits, hits + 1);
+  ASSERT_TRUE(rig->buffer->Unpin(0, false).ok());
+  rig->disk->FailWritesOf(kInvalidPage);
+  ASSERT_TRUE(rig->buffer->FlushAll().ok());
+  EXPECT_EQ(rig->disk->writes(), 4u);
+  Page slot;
+  ASSERT_TRUE(rig->disk->Read(0, &slot).ok());
+  EXPECT_EQ(slot.bytes[0], 0x40);
+  ExpectSlotIsLoggedImage(LoggedImages(), 0, rig->disk->SlotLsn(0), slot);
+}
+
+TEST_F(WalTest, EvictionSucceedsWhenAnotherMembersWriteFails) {
+  auto rig = EvictionGroupRig::Make({.dir = WalDir()});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  rig->disk->FailWritesOf(2);
+  auto page = rig->buffer->GetPage(4);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  ASSERT_TRUE(rig->buffer->Unpin(4, false).ok());
+  EXPECT_EQ(rig->disk->writes(), 3u);  // pages 0, 1 and 3
+  EXPECT_EQ(rig->buffer->stats().evictions, 1u);
+  EXPECT_EQ(rig->wal->stats().fsyncs, 1u);  // one force for the group
+
+  // Page 2 stayed dirty: the next flush writes it, and only it.
+  rig->disk->FailWritesOf(kInvalidPage);
+  ASSERT_TRUE(rig->buffer->FlushAll().ok());
+  EXPECT_EQ(rig->disk->writes(), 4u);
+  Page slot;
+  ASSERT_TRUE(rig->disk->Read(2, &slot).ok());
+  EXPECT_EQ(slot.bytes[0], 0x42);
+  ExpectSlotIsLoggedImage(LoggedImages(), 2, rig->disk->SlotLsn(2), slot);
+}
+
+TEST_F(WalTest, EvictionGroupWhoseForceFailsWritesNoPage) {
+  // Three images a segment, and the second segment's name a symlink to
+  // /dev/null: the group's fourth image rotates onto the link, and the
+  // force (fsync on /dev/null fails with EINVAL) kills the log.
+  WalRecord rec;
+  rec.lsn = 1;
+  rec.image.assign(kPageSize, 0);
+  std::string frame;
+  EncodeWalFrame(rec, &frame);
+  auto rig = EvictionGroupRig::Make(
+      {.dir = WalDir(),
+       .segment_bytes = fault::kSegmentHeaderBytes + 3 * frame.size()});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  std::filesystem::create_symlink(
+      "/dev/null",
+      std::filesystem::path(WalDir()) / fault::SegmentFileName(kWalFormat, 2));
+
+  auto page = rig->buffer->GetPage(4);
+  EXPECT_TRUE(page.status().IsIoError()) << page.status().ToString();
+  EXPECT_TRUE(rig->wal->stats().dead);
+  EXPECT_EQ(rig->disk->writes(), 0u);  // an unforced image reaches no page
+  EXPECT_EQ(rig->buffer->stats().dirty_writebacks, 0u);
+  EXPECT_EQ(rig->buffer->stats().evictions, 0u);
+}
+
+// ---------------------------------------------------------------------
 // The headline property: crash mid-bulk-load → exactly-once durable
 // prefix, under every chaos seed.
 // ---------------------------------------------------------------------
 
 class CrashRecoveryTest : public WalTest,
-                          public ::testing::WithParamInterface<uint64_t> {};
+                          public ::testing::WithParamInterface<uint64_t> {
+ protected:
+  /// The pool the load runs through. Four frames in one shard make every
+  /// eviction group the whole pool.
+  virtual size_t frames() const { return 4; }
+  virtual size_t shards() const { return 1; }
 
-/// Loads `rel` until the injected crash kills the run, then "restarts"
-/// (fresh disk handle, clean injector), recovers, and checks the
-/// recovered relation is an exact prefix of the original: no torn
-/// pages, no duplicated rows, no reordering.
-void RunCrashLoadRecoverCheck(const std::string& page_path,
-                              const std::string& wal_dir,
-                              const std::string& fault_spec,
-                              uint64_t seed) {
+  /// Loads `rel` until the injected crash kills the run, then "restarts"
+  /// (fresh disk handle, clean injector), recovers, and checks the
+  /// recovered relation is an exact prefix of the original: no torn
+  /// pages, no duplicated rows, no reordering.
+  void RunCrashLoadRecoverCheck(const std::string& fault_spec);
+
+  /// The crash check, then recovery AGAIN over the already-recovered
+  /// state: every frame must be skipped by the LSN comparison.
+  void RunDoubleRecoveryCheck() {
+    RunCrashLoadRecoverCheck("storage.wal.append:crash@0.05");
+    auto disk = FileDiskComponent::Open(PagePath());
+    ASSERT_TRUE(disk.ok());
+    auto report = Recover(disk->get(), WalDir(), nullptr);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->pages_replayed, 0u);
+  }
+};
+
+/// The same checks over 16 frames in 4 shards: groups of four pages a
+/// shard, so injected crashes land between the members of a group and
+/// between groups of different shards.
+class ShardedCrashRecoveryTest : public CrashRecoveryTest {
+ protected:
+  size_t frames() const override { return 16; }
+  size_t shards() const override { return 4; }
+};
+
+void CrashRecoveryTest::RunCrashLoadRecoverCheck(
+    const std::string& fault_spec) {
+  const uint64_t seed = GetParam();
   data::Relation orders = data::gen::Orders(20000, 200, 0.5, 42);
 
   ASSERT_TRUE(fault::Injector::Default().Configure(fault_spec, seed).ok());
   size_t loaded_rows = 0;
   {
-    auto rig = DurableRig::Make(page_path, wal_dir, 4);
+    auto rig =
+        DurableRig::Make(PagePath(), WalDir(), frames(), {}, shards());
     ASSERT_TRUE(rig.ok()) << rig.status().ToString();
     auto paged = PagedRelation::Load(orders, rig->buffer.get(),
                                      rig->disk.get());
@@ -1102,10 +1294,10 @@ void RunCrashLoadRecoverCheck(const std::string& page_path,
 
   // "Restart": clean injector, fresh handles onto the same files.
   ASSERT_TRUE(fault::Injector::Default().Configure("", 0).ok());
-  auto disk = FileDiskComponent::Open(page_path);
+  auto disk = FileDiskComponent::Open(PagePath());
   ASSERT_TRUE(disk.ok()) << disk.status().ToString();
   fault::StateManager state;
-  auto report = Recover(disk->get(), wal_dir, &state);
+  auto report = Recover(disk->get(), WalDir(), &state);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   std::shared_ptr<FileDiskComponent> fdisk = std::move(*disk);
@@ -1140,28 +1332,32 @@ void RunCrashLoadRecoverCheck(const std::string& page_path,
 }
 
 TEST_P(CrashRecoveryTest, WalAppendCrashMidLoadRecoversExactPrefix) {
-  RunCrashLoadRecoverCheck(PagePath(), WalDir(),
-                           "storage.wal.append:crash@0.05", GetParam());
+  RunCrashLoadRecoverCheck("storage.wal.append:crash@0.05");
 }
 
 TEST_P(CrashRecoveryTest, DiskWriteCrashMidLoadRecoversExactPrefix) {
-  RunCrashLoadRecoverCheck(PagePath(), WalDir(),
-                           "storage.disk.write:crash@0.05", GetParam());
+  RunCrashLoadRecoverCheck("storage.disk.write:crash@0.05");
 }
 
 TEST_P(CrashRecoveryTest, DoubleRecoveryAfterCrashChangesNothing) {
-  RunCrashLoadRecoverCheck(PagePath(), WalDir(),
-                           "storage.wal.append:crash@0.05", GetParam());
-  // Run recovery AGAIN over the already-recovered state: every frame
-  // must be skipped by the LSN comparison.
-  auto disk = FileDiskComponent::Open(PagePath());
-  ASSERT_TRUE(disk.ok());
-  auto report = Recover(disk->get(), WalDir(), nullptr);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->pages_replayed, 0u);
+  RunDoubleRecoveryCheck();
+}
+
+TEST_P(ShardedCrashRecoveryTest, WalAppendCrashMidLoadRecoversExactPrefix) {
+  RunCrashLoadRecoverCheck("storage.wal.append:crash@0.05");
+}
+
+TEST_P(ShardedCrashRecoveryTest, DiskWriteCrashMidLoadRecoversExactPrefix) {
+  RunCrashLoadRecoverCheck("storage.disk.write:crash@0.05");
+}
+
+TEST_P(ShardedCrashRecoveryTest, DoubleRecoveryAfterCrashChangesNothing) {
+  RunDoubleRecoveryCheck();
 }
 
 INSTANTIATE_TEST_SUITE_P(ChaosSeeds, CrashRecoveryTest,
+                         ::testing::Values(17u, 23u, 42u));
+INSTANTIATE_TEST_SUITE_P(ChaosSeeds, ShardedCrashRecoveryTest,
                          ::testing::Values(17u, 23u, 42u));
 
 // ---------------------------------------------------------------------
