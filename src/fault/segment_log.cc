@@ -33,6 +33,38 @@ bool FsyncPath(const std::string& path, int flags) {
   return synced;
 }
 
+/// Writes zeros over [from, to) of `fd` without moving its offset. False
+/// on a failed or short write.
+bool WriteZeros(int fd, uint64_t from, uint64_t to) {
+  static const char kZeros[64 << 10] = {};
+  while (from < to) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(sizeof(kZeros), to - from));
+    if (::pwrite(fd, kZeros, n, static_cast<off_t>(from)) !=
+        static_cast<ssize_t>(n)) {
+      return false;
+    }
+    from += n;
+  }
+  return true;
+}
+
+/// The parents of the directories that creating `dir` makes, deepest
+/// first: each new directory is an entry in its parent, which only an
+/// fsync of that parent makes durable.
+std::vector<std::string> ParentsOfMissingDirs(const std::string& dir) {
+  std::vector<std::string> parents;
+  std::filesystem::path p = std::filesystem::path(dir).lexically_normal();
+  if (!p.has_filename()) p = p.parent_path();  // "a/b/" names "a/b"
+  std::error_code ec;
+  while (!p.empty() && !std::filesystem::exists(p, ec)) {
+    std::filesystem::path parent = p.parent_path();
+    parents.push_back(parent.empty() ? "." : parent.string());
+    p = std::move(parent);
+  }
+  return parents;
+}
+
 /// The sequence number of "<prefix><digits>.seg"; nullopt for any other
 /// file name.
 std::optional<uint64_t> SegmentSeq(const SegmentFormat& format,
@@ -130,7 +162,9 @@ size_t ParseFrame(const SegmentFormat& format, const uint8_t* data, size_t n,
   PayloadReader header({reinterpret_cast<const char*>(data), n});
   uint32_t len = 0, crc = 0;
   if (!header.Le(&len) || !header.Le(&crc)) return 0;
-  if (len > format.max_payload || len > n - kFrameHeaderBytes) return 0;
+  if (len == 0 || len > format.max_payload || len > n - kFrameHeaderBytes) {
+    return 0;
+  }
   const uint8_t* body = data + kFrameHeaderBytes;
   if (Crc32(body, len) != crc) return 0;
   *payload = {reinterpret_cast<const char*>(body), len};
@@ -158,6 +192,13 @@ Status ScanSegments(const SegmentFormat& format, const std::string& dir,
       std::string_view payload;
       const size_t frame_bytes =
           ParseFrame(format, data + pos, bytes.size() - pos, &payload);
+      // Zeros from here to the end are the fill of a segment that was
+      // fsynced: its written end, like the end of the file.
+      if (frame_bytes == 0 &&
+          std::all_of(data + pos, data + bytes.size(),
+                      [](uint8_t b) { return b == 0; })) {
+        break;
+      }
       uint64_t lsn = 0;
       const ScanStep step =
           frame_bytes == 0 ? ScanStep::kTorn : fn(payload, path, &lsn);
@@ -214,6 +255,7 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
   if (options.dir.empty()) {
     return Status::InvalidArgument("a segment log needs a directory");
   }
+  std::vector<std::string> parents = ParentsOfMissingDirs(options.dir);
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);
   if (ec) {
@@ -222,6 +264,7 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
   }
   DBM_RETURN_NOT_OK(ScanSegments(format, options.dir, fn, report));
   std::unique_ptr<SegmentLog> log(new SegmentLog(format, std::move(options)));
+  log->unsynced_parents_ = std::move(parents);
 
   size_t survivors = report->segments.size();
   if (report->truncated) {
@@ -288,6 +331,7 @@ Status SegmentLog::OpenSegment() {
   segments_.push_back({.path = std::move(path), .seq = seq});
   ++segments_created_;
   dir_dirty_ = true;
+  open_zeroed_ = false;
   return Status::OK();
 }
 
@@ -296,6 +340,10 @@ Status SegmentLog::Append(std::string_view frame, uint64_t lsn,
   if (dead_ || fd_ < 0) {
     dead_ = true;
     return Status::Unavailable("segment log '" + dir() + "' is dead");
+  }
+  if (frame.size() <= kFrameHeaderBytes) {
+    // No reader could tell an empty frame from the zero fill.
+    return Status::InvalidArgument("a frame needs a payload");
   }
   if (segments_.back().frames > 0 &&
       kSegmentHeaderBytes + segments_.back().bytes + frame.size() >
@@ -354,19 +402,32 @@ Status SegmentLog::Fsync() {
   if (options_.fsync_span != nullptr) {
     span.emplace(options_.fsync_span, "storage");
   }
+  Segment& open = segments_.back();
+  if (!open_zeroed_ && open.frames > 0) {
+    // Extend the segment to its full size now, so later appends
+    // overwrite zeros in place and later fsyncs journal no new size or
+    // block map — only data.
+    if (!WriteZeros(fd_, kSegmentHeaderBytes + open.bytes,
+                    options_.segment_bytes)) {
+      dead_ = true;
+      return Status::Unavailable("short write filling segment '" +
+                                 open.path + "'");
+    }
+    open_zeroed_ = true;
+  }
   if (::fsync(fd_) != 0) {
     // fsyncgate: a failed fsync may have dropped the dirty pages, and
     // retrying cannot bring them back. The barrier must not advance —
     // callers would act on bytes the log never made durable — so the
     // log dies here.
     dead_ = true;
-    return Status::IoError("fsync failed on segment '" +
-                           segments_.back().path + "'");
+    return Status::IoError("fsync failed on segment '" + open.path + "'");
   }
   CountFsync();
   // A segment's bytes are no use after a power loss if its directory
   // entry is not durable too, nor is an unlink that has not reached the
-  // disk. The same fsyncgate rule holds for the directory.
+  // disk, nor a log directory whose own entry is not. The same
+  // fsyncgate rule holds for each directory.
   if (dir_dirty_) {
     if (Status synced = FsyncDirectory(dir()); !synced.ok()) {
       dead_ = true;
@@ -375,6 +436,14 @@ Status SegmentLog::Fsync() {
     dir_dirty_ = false;
     ++dir_fsyncs_;
   }
+  for (const std::string& parent : unsynced_parents_) {
+    if (Status synced = FsyncDirectory(parent); !synced.ok()) {
+      dead_ = true;
+      return synced;
+    }
+    ++dir_fsyncs_;
+  }
+  unsynced_parents_.clear();
   if (segments_.front().seq > unsynced_seal_seq_) durable_lsn_ = flushed_lsn_;
   bytes_since_fsync_ = 0;
   return Status::OK();

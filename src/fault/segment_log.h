@@ -11,8 +11,12 @@
 //   [u32 payload_len][u32 crc32(payload)][payload]
 //
 // all little-endian, written field by field (never a raw struct memcpy)
-// so a segment written by one build reads on any other. What a payload
-// means belongs to the codec on top; everything else lives here once:
+// so a segment written by one build reads on any other. A payload is
+// never empty. After its first fsync a segment file ends in zeros, up to
+// segment_bytes: that fsync first fills the rest of the segment with
+// zeros, so every later append overwrites them in place and no later
+// fsync changes the file's size or block map. What a payload means
+// belongs to the codec on top; everything else lives here once:
 //
 //  * Writing (SegmentLog). Rotation past segment_bytes; the fault point
 //    each append consults — a crash verdict writes half a frame, kills
@@ -23,19 +27,27 @@
 //    and unlinking old segments.
 //  * Reading (ScanSegments). The torn-tail rule: segments are visited in
 //    sequence order, and the first frame with a short header, an absurd
-//    length, a CRC mismatch or a payload its codec rejects ends the
-//    trusted history. Nothing after it — later frames of that segment
-//    and every later segment — is believed.
+//    or zero length, a CRC mismatch or a payload its codec rejects ends
+//    the trusted history. Nothing after it — later frames of that
+//    segment and every later segment — is believed. Where the frames of
+//    a segment stop, the rest of the file may be zeros, all of it: that
+//    is the segment's written end, exactly like the end of the file, and
+//    the scan goes on to the next segment. A zero frame header followed
+//    by any nonzero byte, or half a frame over zeros, is a tear.
 //  * Reopening (SegmentLog::Open). Scan, physically truncate the torn
-//    tail (and fsync it), unlink every segment past it, and number new
-//    segments after the survivors (reusing a header-only last one), so
-//    new frames never land behind bytes no reader would trust and no
-//    stale segment outlives a repair.
+//    tail with the zeros after it (and fsync it), unlink every segment
+//    past it, and number new segments after the survivors (reusing a
+//    header-only last one), so new frames never land behind bytes no
+//    reader would trust and no stale segment outlives a repair. A clean
+//    zero tail is left as it is.
 //  * The directory. Creating or unlinking a segment changes the
 //    directory, which no fsync of a segment makes durable. The log notes
 //    each such change, and the next fsync also fsyncs the directory
 //    before it moves the barrier — one directory fsync per segment
-//    created, and none while nothing changed.
+//    created, and none while nothing changed. A log directory Open
+//    creates is itself an entry in its parent, and so is each missing
+//    ancestor it creates on the way: the first fsync fsyncs each of
+//    their parents too.
 //
 // Each frame may carry a codec-assigned sequence number — the WAL's LSN;
 // the black box numbers its frames from 1 in each process. The log keeps
@@ -96,10 +108,11 @@ size_t BeginFrame(std::string* out);
 /// returned `at`.
 void EndFrame(std::string* out, size_t at);
 
-/// Checks the frame at data[0..n): a whole header, a length within
-/// format.max_payload and within the buffer, and a matching CRC. Returns
-/// the frame's size (header + payload) and points *payload at the
-/// payload, or returns 0 for a torn or corrupt frame.
+/// Checks the frame at data[0..n): a whole header, a nonzero length
+/// within format.max_payload and within the buffer, and a matching CRC.
+/// Returns the frame's size (header + payload) and points *payload at
+/// the payload, or returns 0 for a torn or corrupt frame. An empty frame
+/// is 8 zero bytes (the CRC-32 of nothing is 0), so zeros never parse.
 size_t ParseFrame(const SegmentFormat& format, const uint8_t* data, size_t n,
                   std::string_view* payload);
 
@@ -176,12 +189,13 @@ struct SegmentLogOptions {
 /// own mutex.
 class SegmentLog {
  public:
-  /// Creates the directory if needed, scans it with `fn` (filling
-  /// *report), repairs it as described above and opens a fresh segment.
-  /// Every trusted frame counts as durable: the next scan reads it back.
-  /// A repaired torn tail is fsynced here. On an empty directory this
-  /// lists it, creates one file and writes its header — no file is read
-  /// and nothing is fsynced.
+  /// Creates the directory if needed, noting every directory it creates
+  /// for the first Fsync, scans it with `fn` (filling *report), repairs
+  /// it as described above and opens a fresh segment. Every trusted
+  /// frame counts as durable: the next scan reads it back. A repaired
+  /// torn tail is fsynced here. On an empty directory this lists it,
+  /// creates one file and writes its 12-byte header — no file is read,
+  /// nothing is filled and nothing is fsynced.
   static Result<std::unique_ptr<SegmentLog>> Open(const SegmentFormat& format,
                                                   SegmentLogOptions options,
                                                   const FrameFn& fn,
@@ -193,16 +207,23 @@ class SegmentLog {
 
   /// Writes one whole frame (EndFrame's output) whose sequence number is
   /// `lsn`, rotating first if it would overflow the open segment.
-  /// Unavailable once the log is dead; IoError for an injected error
-  /// (nothing written — the caller may retry) or a failed fsync.
+  /// InvalidArgument for a frame with an empty payload (nothing
+  /// written); Unavailable once the log is dead; IoError for an injected
+  /// error (nothing written — the caller may retry) or a failed fsync.
   /// `at_us` stamps the fault record of an injected crash.
   Status Append(std::string_view frame, uint64_t lsn, SimTime at_us = 0);
 
   /// fsyncs the open segment, and the directory when a segment was
   /// created or unlinked since the last one, then moves the durable
   /// barrier up to the flushed one — unless a live sealed segment holds
-  /// frames no fsync covered, which the barrier may not pass. On failure
-  /// the log dies and the barrier stays.
+  /// frames no fsync covered, which the barrier may not pass. The first
+  /// fsync that covers a frame of the open segment first writes zeros
+  /// from the end of its frames up to segment_bytes (nothing when a
+  /// single oversized frame already passes it), leaving the append
+  /// offset where it is. The first fsync of the log also fsyncs the
+  /// parent of each directory Open created, after the log directory. On
+  /// failure — a short fill write included — the log dies and the
+  /// barrier stays.
   Status Fsync();
 
   /// Unlinks sealed segments, oldest first, while `drop` says so; the
@@ -247,6 +268,10 @@ class SegmentLog {
   uint64_t fsyncs_ = 0;
   uint64_t dir_fsyncs_ = 0;
   bool dir_dirty_ = false;  // a segment created or unlinked, not yet fsynced
+  bool open_zeroed_ = false;  // the open segment's zero fill is written
+  /// Parents of the directories Open created, deepest first; fsynced and
+  /// cleared by the first Fsync.
+  std::vector<std::string> unsynced_parents_;
   uint64_t segments_created_ = 0;
   bool dead_ = false;
 };

@@ -1,10 +1,10 @@
 // One recovery suite over both segment-log codecs: the WAL's page images
 // and the black box's telemetry records. Everything the shared segment
 // log owns — framing, the torn-tail rule, reopen repair, numeric segment
-// order, fsyncgate and the crash act-out — is checked once here, for
-// each codec, through that codec's own writer and reader, or through the
-// shared writer in that codec's format where the check is about the
-// writer alone (directory fsyncs).
+// order, fsyncgate, pre-zeroed segments and the crash act-out — is
+// checked once here, for each codec, through that codec's own writer and
+// reader, or through the shared writer in that codec's format where the
+// check is about the writer alone (directory fsyncs, the zero fill).
 
 #include <gtest/gtest.h>
 
@@ -276,19 +276,30 @@ class LogFixture : public ::testing::Test {
     f.write(&b, 1);
   }
 
-  static void AppendBytes(const std::string& path, const std::string& bytes) {
-    std::ofstream f(path, std::ios::binary | std::ios::app);
+  static void WriteAt(const std::string& path, size_t offset,
+                      const std::string& bytes) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(offset));
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  /// The shared writer itself, in this codec's format over dir_, with
-  /// `segment_frames` frames a segment and every seal fsynced.
+  /// Half of record `id`'s frame where a crash mid-append leaves it:
+  /// right after the `trusted` frames of `path`, over whatever follows
+  /// them (the zero fill, once the segment was fsynced).
+  void TearAfter(const std::string& path, uint64_t trusted, uint64_t id) {
+    WriteAt(path, codec_->SegmentBytes(trusted),
+            codec_->EncodeFrame(id).substr(0, codec_->frame_bytes() / 2));
+  }
+
+  /// The shared writer itself, in this codec's format over `dir` (dir_
+  /// when empty), rotating past `segment_bytes`, every seal fsynced.
   Result<std::unique_ptr<fault::SegmentLog>> OpenBareLog(
-      size_t segment_frames, fault::SegmentScanReport* report = nullptr) {
+      size_t segment_bytes, fault::SegmentScanReport* report = nullptr,
+      const std::string& dir = {}) {
     fault::SegmentScanReport discarded;
     fault::SegmentLogOptions options;
-    options.dir = dir_;
-    options.segment_bytes = codec_->SegmentBytes(segment_frames);
+    options.dir = dir.empty() ? dir_ : dir;
+    options.segment_bytes = segment_bytes;
     options.fsync_on_seal = true;
     return fault::SegmentLog::Open(
         codec_->format(), std::move(options),
@@ -296,6 +307,29 @@ class LogFixture : public ::testing::Test {
           return fault::ScanStep::kNext;
         },
         report != nullptr ? report : &discarded);
+  }
+
+  /// Room for two and a half frames: a segment that seals holds two.
+  size_t ZeroTailedSegmentBytes() const {
+    return codec_->SegmentBytes(2) + codec_->frame_bytes() / 2;
+  }
+
+  /// Writes records 1..last through the shared writer over dir_ in
+  /// segments of ZeroTailedSegmentBytes(), with an fsync at the end, and
+  /// notes its segments in segments_. Each seal's fsync fills the spare
+  /// half frame, and the last fsync fills the open segment, so every
+  /// segment ends in zeros.
+  void WriteZeroTailed(uint64_t last) {
+    auto log = OpenBareLog(ZeroTailedSegmentBytes());
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (uint64_t id = 1; id <= last; ++id) {
+      ASSERT_TRUE((*log)->Append(codec_->EncodeFrame(id), id).ok());
+    }
+    ASSERT_TRUE((*log)->Fsync().ok());
+    segments_.clear();
+    for (const fault::Segment& seg : (*log)->segments()) {
+      segments_.push_back(seg.path);
+    }
   }
 
   size_t FilesInDir() const {
@@ -381,10 +415,9 @@ TEST_P(SegmentLogTest, TornTailTruncatesAndReopenRepairs) {
   Write(1, 20);
   ASSERT_FALSE(segments_.empty());
   const std::string last = segments_.back();
-  const uint64_t clean_size = fs::file_size(last);
-  // Half a frame at the tail, as a crash mid-append leaves it.
-  AppendBytes(last,
-              codec_->EncodeFrame(21).substr(0, codec_->frame_bytes() / 2));
+  // Half a frame right after the last trusted one, as a crash mid-append
+  // leaves it (over the zeros the close's fsync filled the segment with).
+  TearAfter(last, 20, 21);
 
   fault::SegmentScanReport report;
   EXPECT_EQ(ReadBack(&report), Ids(1, 20));  // the prefix, exactly
@@ -392,10 +425,10 @@ TEST_P(SegmentLogTest, TornTailTruncatesAndReopenRepairs) {
   EXPECT_EQ(report.truncated_segment, last);
   EXPECT_GT(report.torn_tail_bytes, 0u);
 
-  // Reopen: the torn tail is physically gone, and new records follow the
-  // old trusted prefix in order.
+  // Reopen: the torn tail and the zeros after it are physically gone,
+  // and new records follow the old trusted prefix in order.
   Write(21, 25);
-  EXPECT_EQ(fs::file_size(last), clean_size);
+  EXPECT_EQ(fs::file_size(last), codec_->SegmentBytes(20));
   EXPECT_EQ(ReadBack(&report), Ids(1, 25));
   EXPECT_FALSE(report.truncated);
 }
@@ -483,6 +516,149 @@ TEST_P(SegmentLogTest, SegmentOrderIsNumericPastSixDigits) {
 }
 
 // ---------------------------------------------------------------------
+// Pre-zeroed segments
+// ---------------------------------------------------------------------
+
+TEST_P(SegmentLogTest, FirstFsyncFillsTheOpenSegmentWithZeros) {
+  ASSERT_TRUE(codec_->Open(dir_, /*segment_frames=*/64, 0).ok());
+  for (uint64_t id = 1; id <= 5; ++id) ASSERT_TRUE(codec_->Append(id).ok());
+  const std::string open = codec_->SegmentPaths().back();
+  // Not fsynced yet: the file holds the header and the frames, no more.
+  EXPECT_EQ(fs::file_size(open), codec_->SegmentBytes(5));
+
+  ASSERT_TRUE(codec_->Flush().ok());
+  EXPECT_EQ(fs::file_size(open), codec_->SegmentBytes(64));
+  // Later appends overwrite the zeros in place; later fsyncs keep the size.
+  ASSERT_TRUE(codec_->Append(6).ok());
+  EXPECT_EQ(fs::file_size(open), codec_->SegmentBytes(64));
+  ASSERT_TRUE(codec_->Flush().ok());
+  ASSERT_TRUE(codec_->Flush().ok());
+  EXPECT_EQ(fs::file_size(open), codec_->SegmentBytes(64));
+
+  fault::SegmentScanReport report;
+  EXPECT_EQ(ReadBack(&report), Ids(1, 6));
+  EXPECT_FALSE(report.truncated);
+}
+
+TEST_P(SegmentLogTest, OpenOnAnEmptyDirectoryWritesOnlyTheHeader) {
+  auto log = OpenBareLog(codec_->SegmentBytes(64));
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(FilesInDir(), 1u);
+  const std::string open = (*log)->segments().back().path;
+  EXPECT_EQ(fs::file_size(open), fault::kSegmentHeaderBytes);
+  EXPECT_EQ((*log)->fsyncs(), 0u);
+  EXPECT_EQ((*log)->dir_fsyncs(), 0u);
+  // An fsync that covers no frame fills nothing either.
+  ASSERT_TRUE((*log)->Fsync().ok());
+  EXPECT_EQ(fs::file_size(open), fault::kSegmentHeaderBytes);
+}
+
+TEST_P(SegmentLogTest, EmptyFramesAreRefusedAndZerosNeverParse) {
+  // An empty frame is 8 zero bytes, the CRC-32 of nothing being 0: it
+  // would read as the zero fill, so neither side accepts one.
+  std::string empty;
+  fault::EndFrame(&empty, fault::BeginFrame(&empty));
+  EXPECT_EQ(empty, std::string(fault::kFrameHeaderBytes, '\0'));
+  std::string_view payload;
+  EXPECT_EQ(fault::ParseFrame(codec_->format(),
+                              reinterpret_cast<const uint8_t*>(empty.data()),
+                              empty.size(), &payload),
+            0u);
+
+  auto log = OpenBareLog(codec_->SegmentBytes(64));
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  const Status refused = (*log)->Append(empty, 1);
+  EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+  EXPECT_FALSE((*log)->dead());
+  EXPECT_EQ((*log)->bytes(), 0u);
+  EXPECT_TRUE((*log)->Append(codec_->EncodeFrame(1), 1).ok());
+}
+
+TEST_P(SegmentLogTest, SegmentsEndingInZerosReadBackAndReopenCleanly) {
+  const size_t segment_bytes = ZeroTailedSegmentBytes();
+  WriteZeroTailed(7);
+  ASSERT_EQ(segments_.size(), 4u);
+  for (const std::string& path : segments_) {
+    EXPECT_EQ(fs::file_size(path), segment_bytes) << path;
+  }
+  fault::SegmentScanReport report;
+  EXPECT_EQ(ReadBack(&report), Ids(1, 7));
+  EXPECT_FALSE(report.truncated);
+
+  // A reopen repairs nothing and fsyncs nothing: the zero tails stay, and
+  // new frames go to a new segment after them.
+  {
+    auto log = OpenBareLog(segment_bytes, &report);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    EXPECT_FALSE(report.truncated);
+    EXPECT_EQ(report.frames, 7u);
+    ASSERT_TRUE((*log)->Append(codec_->EncodeFrame(8), 8).ok());
+    EXPECT_EQ((*log)->fsyncs(), 0u);
+    EXPECT_EQ((*log)->dir_fsyncs(), 0u);
+    EXPECT_EQ((*log)->segments().size(), 5u);
+  }
+  for (const std::string& path : segments_) {
+    EXPECT_EQ(fs::file_size(path), segment_bytes) << path;
+  }
+  EXPECT_EQ(ReadBack(&report), Ids(1, 8));
+  EXPECT_FALSE(report.truncated);
+}
+
+TEST_P(SegmentLogTest, NonzeroByteAfterTheZerosIsATear) {
+  const size_t segment_bytes = ZeroTailedSegmentBytes();
+  WriteZeroTailed(7);
+  ASSERT_EQ(segments_.size(), 4u);
+  // The first segment's last byte: a sector that persisted after one
+  // that was lost, so nothing from its frame boundary on is trusted.
+  WriteAt(segments_[0], segment_bytes - 1, "\x01");
+
+  fault::SegmentScanReport report;
+  EXPECT_EQ(ReadBack(&report), Ids(1, 2));
+  EXPECT_TRUE(report.truncated);
+  EXPECT_EQ(report.truncated_segment, segments_[0]);
+  EXPECT_EQ(report.truncated_offset, codec_->SegmentBytes(2));
+
+  // Reopen cuts the tear with its zeros and unlinks every later segment;
+  // the second segment's name goes to the new one, which holds record 8.
+  const std::vector<std::string> before = segments_;
+  Write(8, 8);
+  EXPECT_EQ(fs::file_size(before[0]), codec_->SegmentBytes(2));
+  for (size_t i = 2; i < before.size(); ++i) {
+    EXPECT_FALSE(fs::exists(before[i])) << before[i];
+  }
+  EXPECT_EQ(FilesInDir(), 2u);
+  EXPECT_EQ(ReadBack(&report), (std::vector<uint64_t>{1, 2, 8}));
+  EXPECT_FALSE(report.truncated);
+}
+
+TEST_P(SegmentLogTest, CrashAfterAnFsyncLeavesHalfAFrameOverZeros) {
+  ASSERT_TRUE(codec_->Open(dir_, /*segment_frames=*/64, 0).ok());
+  for (uint64_t id = 1; id <= 5; ++id) ASSERT_TRUE(codec_->Append(id).ok());
+  ASSERT_TRUE(codec_->Flush().ok());
+  const std::string open = codec_->SegmentPaths().back();
+  // The next append crashes: half its frame lands over the zero fill, so
+  // the file keeps its size and the scan must still see a tear.
+  const std::string crash = std::string(codec_->fault_point()) + ":crash@1";
+  ASSERT_TRUE(fault::Injector::Default().Configure(crash, 1).ok());
+  EXPECT_FALSE(codec_->Append(6).ok());
+  ASSERT_TRUE(codec_->dead());
+  codec_->Close();
+  ASSERT_TRUE(fault::Injector::Default().Configure("", 0).ok());
+  EXPECT_EQ(fs::file_size(open), codec_->SegmentBytes(64));
+
+  fault::SegmentScanReport report;
+  EXPECT_EQ(ReadBack(&report), Ids(1, 5));
+  EXPECT_TRUE(report.truncated);
+  EXPECT_EQ(report.truncated_segment, open);
+  EXPECT_EQ(report.truncated_offset, codec_->SegmentBytes(5));
+
+  Write(6, 6);
+  EXPECT_EQ(fs::file_size(open), codec_->SegmentBytes(5));
+  EXPECT_EQ(ReadBack(&report), Ids(1, 6));
+  EXPECT_FALSE(report.truncated);
+}
+
+// ---------------------------------------------------------------------
 // fsyncgate
 // ---------------------------------------------------------------------
 
@@ -552,20 +728,20 @@ TEST_P(SegmentLogTest, BarrierNeverPassesASegmentNoFsyncReached) {
 // ---------------------------------------------------------------------
 
 TEST_P(SegmentLogTest, DirectoryChangesReachTheDiskAtTheNextFsync) {
-  auto log = OpenBareLog(/*segment_frames=*/2);
+  auto log = OpenBareLog(codec_->SegmentBytes(2));
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   fault::SegmentLog& l = **log;
   auto append = [&](uint64_t id) {
     return l.Append(codec_->EncodeFrame(id), id);
   };
-  // Open creates the first segment but fsyncs nothing.
+  // Open creates dir_ and the first segment but fsyncs nothing.
   EXPECT_EQ(l.dir_fsyncs(), 0u);
   EXPECT_EQ(l.fsyncs(), 0u);
   ASSERT_TRUE(append(1).ok());
   ASSERT_TRUE(l.Fsync().ok());
-  EXPECT_EQ(l.dir_fsyncs(), 1u);  // the first segment's name
+  EXPECT_EQ(l.dir_fsyncs(), 2u);  // the first segment's name, dir_'s own
   ASSERT_TRUE(l.Fsync().ok());
-  EXPECT_EQ(l.dir_fsyncs(), 1u);  // nothing changed since
+  EXPECT_EQ(l.dir_fsyncs(), 2u);  // nothing changed since
 
   // A rotation: the seal fsyncs the full segment, whose name is already
   // durable; the next fsync covers the new segment's name.
@@ -573,38 +749,62 @@ TEST_P(SegmentLogTest, DirectoryChangesReachTheDiskAtTheNextFsync) {
   ASSERT_TRUE(append(3).ok());
   ASSERT_EQ(l.segments().size(), 2u);
   EXPECT_EQ(l.fsyncs(), 3u);
-  EXPECT_EQ(l.dir_fsyncs(), 1u);
-  ASSERT_TRUE(l.Fsync().ok());
   EXPECT_EQ(l.dir_fsyncs(), 2u);
+  ASSERT_TRUE(l.Fsync().ok());
+  EXPECT_EQ(l.dir_fsyncs(), 3u);
   EXPECT_EQ(l.durable_lsn(), 3u);
 
   // An unlink, likewise.
   EXPECT_EQ(l.UnlinkOldestWhile([](const fault::Segment&) { return true; }),
             1u);
-  EXPECT_EQ(l.dir_fsyncs(), 2u);
-  ASSERT_TRUE(l.Fsync().ok());
   EXPECT_EQ(l.dir_fsyncs(), 3u);
+  ASSERT_TRUE(l.Fsync().ok());
+  EXPECT_EQ(l.dir_fsyncs(), 4u);
 }
 
 TEST_P(SegmentLogTest, SealOfAnUnsyncedLogFsyncsTheDirectory) {
   // No fsync before the first rotation: the seal's fsync is the first,
-  // so it also makes the first segment's name durable.
-  auto log = OpenBareLog(/*segment_frames=*/2);
+  // so it also makes the first segment's name durable, and the name of
+  // dir_, which Open created.
+  auto log = OpenBareLog(codec_->SegmentBytes(2));
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   for (uint64_t id = 1; id <= 3; ++id) {
     ASSERT_TRUE((*log)->Append(codec_->EncodeFrame(id), id).ok());
   }
   EXPECT_EQ((*log)->fsyncs(), 1u);
+  EXPECT_EQ((*log)->dir_fsyncs(), 2u);
+}
+
+TEST_P(SegmentLogTest, NewLogDirectoryAndEachMissingParentAreFsyncedOnce) {
+  // Only dir_ exists: Open creates a, b and log, and each is an entry in
+  // its parent that no fsync of the log directory makes durable.
+  fs::create_directories(dir_);
+  const std::string log_dir = dir_ + "/a/b/log";
+  {
+    auto log = OpenBareLog(codec_->SegmentBytes(64), nullptr, log_dir);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    EXPECT_EQ((*log)->dir_fsyncs(), 0u);  // Open fsyncs nothing
+    ASSERT_TRUE((*log)->Append(codec_->EncodeFrame(1), 1).ok());
+    ASSERT_TRUE((*log)->Fsync().ok());
+    EXPECT_EQ((*log)->dir_fsyncs(), 4u);  // log, b, a and dir_
+    ASSERT_TRUE((*log)->Append(codec_->EncodeFrame(2), 2).ok());
+    ASSERT_TRUE((*log)->Fsync().ok());
+    EXPECT_EQ((*log)->dir_fsyncs(), 4u);
+  }
+  // A reopen creates no directory: its first fsync covers only the log
+  // directory, for the segment it opened.
+  auto log = OpenBareLog(codec_->SegmentBytes(64), nullptr, log_dir);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_TRUE((*log)->Fsync().ok());
   EXPECT_EQ((*log)->dir_fsyncs(), 1u);
 }
 
 TEST_P(SegmentLogTest, RepairFsyncsTheTruncatedSegment) {
   Write(1, 5);
-  AppendBytes(segments_.back(),
-              codec_->EncodeFrame(6).substr(0, codec_->frame_bytes() / 2));
+  TearAfter(segments_.back(), 5, 6);
   {
     fault::SegmentScanReport report;
-    auto log = OpenBareLog(/*segment_frames=*/64, &report);
+    auto log = OpenBareLog(codec_->SegmentBytes(64), &report);
     ASSERT_TRUE(log.ok()) << log.status().ToString();
     EXPECT_TRUE(report.truncated);
     EXPECT_EQ((*log)->fsyncs(), 1u);  // the cut segment, before any append
@@ -612,7 +812,7 @@ TEST_P(SegmentLogTest, RepairFsyncsTheTruncatedSegment) {
   }
   // A clean reopen repairs nothing and fsyncs nothing.
   fault::SegmentScanReport report;
-  auto log = OpenBareLog(/*segment_frames=*/64, &report);
+  auto log = OpenBareLog(codec_->SegmentBytes(64), &report);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   EXPECT_FALSE(report.truncated);
   EXPECT_EQ((*log)->fsyncs(), 0u);

@@ -44,11 +44,14 @@ class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(fault::Injector::Default().Configure("", 0).ok());
-    base_ = std::filesystem::temp_directory_path() /
-            ("wal_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
+    // A directory per test, named by suite and test: ctest runs the cases
+    // as parallel processes, and two fixtures share test names.
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name =
+        std::string(info->test_suite_name()) + "_" + info->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    base_ = std::filesystem::temp_directory_path() / ("wal_test_" + name);
     std::filesystem::remove_all(base_);
     std::filesystem::create_directories(base_);
   }
@@ -263,7 +266,9 @@ TEST_F(WalTest, TornTailTruncatesHistoryAndReopenRepairs) {
       ASSERT_TRUE((*wal)->AppendPageImage(id, MakePage(id, 1)).ok());
     }
   }
-  // Tear the tail: half a frame of garbage, as a crash mid-append leaves.
+  // Tear the tail: half a frame of garbage right after the fourth frame,
+  // as a crash mid-append leaves it (over the zeros the close's fsync
+  // filled the segment with).
   auto segments = [&] {
     std::vector<std::string> out;
     for (const auto& e : std::filesystem::directory_iterator(WalDir())) {
@@ -273,9 +278,16 @@ TEST_F(WalTest, TornTailTruncatesHistoryAndReopenRepairs) {
     return out;
   }();
   ASSERT_FALSE(segments.empty());
-  uint64_t clean_size = std::filesystem::file_size(segments.back());
+  WalRecord image;
+  image.lsn = 1;
+  image.image.assign(kPageSize, 1);
+  std::string frame;
+  EncodeWalFrame(image, &frame);
+  const uint64_t clean_size = fault::kSegmentHeaderBytes + 4 * frame.size();
   {
-    std::ofstream f(segments.back(), std::ios::app | std::ios::binary);
+    std::fstream f(segments.back(),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(clean_size));
     f << "\x13\x00\x00\x00 half a frame of torn byt";
   }
 
@@ -991,7 +1003,10 @@ TEST_F(WalTest, ConcurrentFlushAndCheckpointWriteOnlyLoggedImages) {
   constexpr int kUpdatesPerWriter = 150;
   constexpr size_t kTail = kPageSize - sizeof(uint64_t);
   WalOptions options;
-  options.segment_bytes = size_t{1} << 30;
+  // At most 466 page images (16 fresh pages, 450 updates) plus small
+  // checkpoint frames: about 2 MiB. The first force fills the segment
+  // with zeros, so it is no larger than it needs to be.
+  options.segment_bytes = size_t{4} << 20;
   options.fsync = WalFsyncPolicy::kCommit;
   auto rig = DurableRig::Make(PagePath(), WalDir(), 8, options, /*shards=*/4);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
@@ -1075,6 +1090,7 @@ TEST_F(WalTest, ConcurrentFlushAndCheckpointWriteOnlyLoggedImages) {
   // A final flush, then the store is dropped without a checkpoint:
   // recovery brings every page back at its last value.
   ASSERT_TRUE(buffer->FlushAll().ok());
+  EXPECT_EQ(rig->wal->stats().segments_created, 1u);  // never rotated
   rig->buffer->SetWal(nullptr);
   rig->buffer.reset();
   rig->wal.reset();
