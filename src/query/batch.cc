@@ -213,6 +213,109 @@ Status EvalBatch(const Expr& e, const BatchView& v, const uint32_t* sel,
   return Status::Internal("unknown expression kind");
 }
 
+namespace {
+
+/// Calls body(i, row) for positions sel[0..n) of `v`, with `row` the
+/// position's scan row. The four shapes of sel and pos_to_row each get
+/// their own loop.
+template <typename Body>
+inline void ForEachScanRow(const BatchView& v, const uint32_t* sel, size_t n,
+                           Body&& body) {
+  const uint32_t* map = v.pos_to_row;
+  if (sel == nullptr && map == nullptr) {
+    for (size_t i = 0; i < n; ++i) body(i, i);
+  } else if (map == nullptr) {
+    for (size_t i = 0; i < n; ++i) body(i, sel[i]);
+  } else if (sel == nullptr) {
+    for (size_t i = 0; i < n; ++i) body(i, map[i]);
+  } else {
+    for (size_t i = 0; i < n; ++i) body(i, map[sel[i]]);
+  }
+}
+
+/// TestBatch for `column <op> literal` on a scan column: reads the
+/// column's tags and typed array in place and evaluates the literal
+/// once. pass[c + 1] is the verdict for CompareCells(cell, literal) == c.
+void CompareScanToLiteral(const BatchView& v, const Column& col,
+                          const Cell& lit, const uint8_t pass[3],
+                          const uint32_t* sel, size_t n, uint8_t* out) {
+  const uint8_t* tags = col.tags;
+  switch (lit.tag) {
+    case ValueType::kNull:
+      std::memset(out, 0, n);
+      return;
+    case ValueType::kString: {
+      // Numbers rank below strings.
+      const std::string_view l = lit.s;
+      ForEachScanRow(v, sel, n, [&](size_t i, size_t row) {
+        int c = -1;
+        switch (static_cast<ValueType>(tags[row])) {
+          case ValueType::kNull:
+            out[i] = 0;
+            return;
+          case ValueType::kString: {
+            int cmp = col.strings[row].compare(l);
+            c = (cmp > 0) - (cmp < 0);
+            break;
+          }
+          default:
+            break;
+        }
+        out[i] = pass[c + 1];
+      });
+      return;
+    }
+    default: {
+      // Numbers compare through their double image, so a NaN compares
+      // equal to every number; strings rank above numbers.
+      const double l = NumOf(lit);
+      ForEachScanRow(v, sel, n, [&](size_t i, size_t row) {
+        double x = 0;
+        switch (static_cast<ValueType>(tags[row])) {
+          case ValueType::kNull:
+            out[i] = 0;
+            return;
+          case ValueType::kInt:
+            x = static_cast<double>(col.ints[row]);
+            break;
+          case ValueType::kDouble:
+            x = col.doubles[row];
+            break;
+          case ValueType::kString:
+            out[i] = pass[2];
+            return;
+        }
+        out[i] = pass[(x > l) - (x < l) + 1];
+      });
+      return;
+    }
+  }
+}
+
+/// The scan column a compare operand reads in place, or null when the
+/// operand is not a column of `v`'s scan batch.
+const Column* ScanColumnOf(const Expr& operand, const BatchView& v) {
+  if (operand.kind != ExprKind::kColumn || operand.column >= v.arity) {
+    return nullptr;
+  }
+  if (v.colmap == nullptr) return &v.batch->cols[operand.column];
+  const ColRef& r = v.colmap[operand.column];
+  return r.src == ColSrc::kScan ? &v.batch->cols[r.off] : nullptr;
+}
+
+/// The operator that gives the same verdict with its operands swapped.
+CmpOp Mirror(CmpOp op) {
+  switch (op) {
+    case CmpOp::kLt: return CmpOp::kGt;
+    case CmpOp::kLe: return CmpOp::kGe;
+    case CmpOp::kGt: return CmpOp::kLt;
+    case CmpOp::kGe: return CmpOp::kLe;
+    default: return op;
+  }
+}
+
+}  // namespace
+
 Status TestBatch(const Expr& e, const BatchView& v, const uint32_t* sel,
                  size_t n, uint8_t* out, Arena* scratch) {
   switch (e.kind) {
@@ -246,22 +349,48 @@ Status TestBatch(const Expr& e, const BatchView& v, const uint32_t* sel,
       for (size_t i = 0; i < n; ++i) out[i] = out[i] ? 0 : 1;
       return Status::OK();
     }
-    default: {
-      Cell* tmp = scratch->AllocateArray<Cell>(n);
-      DBM_RETURN_NOT_OK(EvalBatch(e, v, sel, n, tmp, scratch));
-      for (size_t i = 0; i < n; ++i) out[i] = CellTruthy(tmp[i]) ? 1 : 0;
+    case ExprKind::kCompare: {
+      const Expr* lit = e.right.get();
+      const Column* col = ScanColumnOf(*e.left, v);
+      CmpOp op = e.cmp;
+      if (col == nullptr || lit->kind != ExprKind::kLiteral) {
+        lit = e.left.get();
+        col = ScanColumnOf(*e.right, v);
+        op = Mirror(op);
+      }
+      if (col == nullptr || lit->kind != ExprKind::kLiteral) break;
+      // Verdicts for CompareCells(cell, literal) = -1, 0, 1.
+      static constexpr uint8_t kPass[][3] = {
+          {0, 1, 0},  // kEq
+          {1, 0, 1},  // kNe
+          {1, 0, 0},  // kLt
+          {1, 1, 0},  // kLe
+          {0, 0, 1},  // kGt
+          {0, 1, 1},  // kGe
+      };
+      CompareScanToLiteral(v, *col, CellFromValue(lit->literal),
+                           kPass[static_cast<size_t>(op)], sel, n, out);
       return Status::OK();
     }
+    default:
+      break;
   }
+  Cell* tmp = scratch->AllocateArray<Cell>(n);
+  DBM_RETURN_NOT_OK(EvalBatch(e, v, sel, n, tmp, scratch));
+  for (size_t i = 0; i < n; ++i) out[i] = CellTruthy(tmp[i]) ? 1 : 0;
+  return Status::OK();
 }
 
 Status FilterBatch(const Expr& e, const BatchView& v, uint32_t* sel,
                    size_t n, size_t* out_n, Arena* scratch) {
   uint8_t* pass = scratch->AllocateArray<uint8_t>(n);
   DBM_RETURN_NOT_OK(TestBatch(e, v, sel, n, pass, scratch));
+  // TestBatch verdicts are 0 or 1: every position is written, and only a
+  // passing one advances the cursor.
   size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (pass[i]) sel[kept++] = sel[i];
+    sel[kept] = sel[i];
+    kept += pass[i];
   }
   *out_n = kept;
   return Status::OK();
@@ -295,44 +424,92 @@ void LoadMemBatch(const data::ColumnarView& view, size_t begin, size_t end,
 Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
                       size_t page_end, Arena* scratch, ColumnBatch* out,
                       uint64_t* raw_rows) {
-  size_t ncols = rel.schema().size();
-  struct ColBuild {
-    ArenaVec<uint8_t> tags;
-    ArenaVec<int64_t> ints;
-    ArenaVec<double> doubles;
-    ArenaVec<std::string_view> strings;
+  const data::Schema& schema = rel.schema();
+  const size_t ncols = schema.size();
+  const size_t cap = rel.max_rows_per_page() * (page_end - page_begin);
+  // Each column's tags and its declared type's array, sized once.
+  struct Dest {
+    ValueType decl;
+    uint8_t* tags;
+    int64_t* ints;
+    double* doubles;
+    std::string_view* strings;
   };
-  ColBuild* build = scratch->AllocateArray<ColBuild>(ncols);
+  Dest* dest = scratch->AllocateArray<Dest>(ncols);
   for (size_t c = 0; c < ncols; ++c) {
-    build[c].tags.Init(scratch);
-    build[c].ints.Init(scratch);
-    build[c].doubles.Init(scratch);
-    build[c].strings.Init(scratch);
+    Dest& d = dest[c];
+    d = Dest{schema.field(c).type, scratch->AllocateArray<uint8_t>(cap),
+             nullptr, nullptr, nullptr};
+    switch (d.decl) {
+      case ValueType::kInt:
+        d.ints = scratch->AllocateArray<int64_t>(cap);
+        break;
+      case ValueType::kDouble:
+        d.doubles = scratch->AllocateArray<double>(cap);
+        break;
+      case ValueType::kString:
+        d.strings = scratch->AllocateArray<std::string_view>(cap);
+        break;
+      case ValueType::kNull:
+        break;
+    }
   }
-  // Every typed array stays row-aligned: a value pushes its payload into
-  // its tag's array and zero placeholders into the others. String
-  // payloads view the pinned frame, so they are copied into the scratch
-  // arena, which outlives the pin.
+  // The sink writes each value's tag and payload at its row; a null
+  // writes the zero payload its FieldView carries. String payloads view
+  // the pinned frame, so they are copied into the scratch arena, which
+  // outlives the pin. A partial last record can send values for row
+  // `cap`, which the guard skips.
+  size_t row = 0;
+  bool past_cap = false;
+  size_t bad_col = ncols;
+  ValueType bad_type = ValueType::kNull;
   auto sink = [&](size_t c, const data::FieldView& f) {
-    ColBuild& col = build[c];
-    col.tags.PushBack(static_cast<uint8_t>(f.type));
-    col.ints.PushBack(f.i);
-    col.doubles.PushBack(f.d);
-    col.strings.PushBack(f.type == ValueType::kString
-                             ? scratch->CopyString(f.s)
-                             : std::string_view());
+    if (row >= cap) {
+      past_cap = true;
+      return;
+    }
+    const Dest& d = dest[c];
+    d.tags[row] = static_cast<uint8_t>(f.type);
+    switch (d.decl) {
+      case ValueType::kInt:
+        d.ints[row] = f.i;
+        break;
+      case ValueType::kDouble:
+        d.doubles[row] = f.d;
+        break;
+      case ValueType::kString:
+        d.strings[row] = scratch->CopyString(f.s);
+        break;
+      case ValueType::kNull:
+        break;
+    }
+    if (f.type != d.decl && f.type != ValueType::kNull && bad_col == ncols) {
+      bad_col = c;
+      bad_type = f.type;
+    }
+    row += c + 1 == ncols;
   };
   size_t rows = 0;
   for (size_t page = page_begin; page < page_end; ++page) {
     DBM_ASSIGN_OR_RETURN(size_t records, rel.DecodePage(page, sink));
     rows += records;
+    if (past_cap) {
+      return Status::IoError(StrFormat(
+          "page %zu of %s: a record past the %zu-row page bound", page,
+          rel.name().c_str(), rel.max_rows_per_page()));
+    }
+    if (bad_col != ncols) {
+      return Status::IoError(StrFormat(
+          "page %zu of %s: column '%s' expects %s, got %s", page,
+          rel.name().c_str(), schema.field(bad_col).name.c_str(),
+          data::ValueTypeName(dest[bad_col].decl),
+          data::ValueTypeName(bad_type)));
+    }
   }
   Column* cols = scratch->AllocateArray<Column>(ncols);
   for (size_t c = 0; c < ncols; ++c) {
-    cols[c].tags = build[c].tags.data();
-    cols[c].ints = build[c].ints.data();
-    cols[c].doubles = build[c].doubles.data();
-    cols[c].strings = build[c].strings.data();
+    cols[c] = Column{dest[c].tags, dest[c].ints, dest[c].doubles,
+                     dest[c].strings};
   }
   out->rows = rows;
   out->ncols = ncols;
@@ -346,7 +523,7 @@ void BuildCollector::AddBatch(const ColumnBatch& b, const uint32_t* sel,
   for (size_t k = 0; k < n; ++k) {
     size_t row = PosOf(sel, k);
     uint64_t h = HashCell(CellOf(b.cols[key_col_], row));
-    Part& p = parts_[h % kBatchPartitions];
+    Part& p = parts_[PartitionOf(h)];
     p.hashes.PushBack(h);
     for (size_t c = 0; c < ncols_; ++c) {
       Cell cell = CellOf(b.cols[c], row);
@@ -387,7 +564,7 @@ void MergePartition(const BuildCollector* collectors, size_t n, size_t p,
   uint32_t* next = arena->AllocateArray<uint32_t>(total);
   uint64_t mask = nbuckets - 1;
   for (size_t r = 0; r < total; ++r) {
-    size_t b = hashes[r] & mask;
+    size_t b = BucketOf(hashes[r], mask);
     next[r] = heads[b];
     heads[b] = static_cast<uint32_t>(r + 1);
   }

@@ -8,16 +8,21 @@
 // (query/parallel.h) runs every plan, at every dop, on batch-at-a-time
 // kernels instead:
 //
-//   ColumnBatch   ~1024 rows of a morsel as typed contiguous columns
-//                 (int64 / double / string-ref) plus per-row type tags,
-//                 borrowed zero-copy from Relation::Columnar() for mem
-//                 scans, decoded into arena scratch for paged scans.
+//   ColumnBatch   one morsel as typed contiguous columns (int64 / double
+//                 / string-ref) plus per-row type tags: a mem morsel is
+//                 morsel_rows (1,024) rows borrowed zero-copy from
+//                 Relation::Columnar(); a paged morsel is morsel_pages (4)
+//                 pages, about 430 orders rows, decoded into arena scratch
+//                 with each value written straight into its column's
+//                 declared-type array.
 //   selection     filters produce a selection vector (indices of passing
 //                 rows) instead of moving any data.
 //   kernels       EvalBatch / TestBatch / FilterBatch run an Expr over a
-//                 whole batch in tight loops; join build/probe hash whole
-//                 key columns and chase per-partition chains built over
-//                 contiguous arrays; BatchAggTable folds column spans
+//                 whole batch in tight loops, and a scan column compared
+//                 with a literal is read in place; join build/probe hash
+//                 whole key columns and chase per-partition chains built
+//                 over contiguous arrays, bucketed by the hash bits above
+//                 the partition bits; BatchAggTable folds column spans
 //                 into per-worker open-addressed groups.
 //
 // Everything transient lives in per-worker slab arenas (common/arena.h):
@@ -51,12 +56,21 @@
 
 namespace dbm::query {
 
-/// Target batch width: one default in-memory morsel.
-constexpr size_t kBatchRows = 1024;
-
 /// Join-table partitions. Each worker's collector fills all of them; the
 /// merge hands each partition to exactly one worker.
 constexpr size_t kBatchPartitions = 16;
+
+/// The join-table partition of key hash `h`.
+inline size_t PartitionOf(uint64_t h) { return h % kBatchPartitions; }
+
+/// The bucket of key hash `h` in a partition table of mask + 1 buckets:
+/// the hash bits above the partition bits. Every key of a partition
+/// shares its low bits, so bucketing by them would leave all but one in
+/// kBatchPartitions buckets empty. The build (MergePartition) and the
+/// probe both call this.
+inline size_t BucketOf(uint64_t h, uint64_t mask) {
+  return (h / kBatchPartitions) & mask;
+}
 
 /// One untyped cell: the tag says which payload is live. Trivially
 /// copyable so cells can live in arenas and be memcpy'd by ArenaVec.
@@ -82,7 +96,9 @@ bool CellTruthy(const Cell& c);
 
 /// One scan column: per-row tags plus typed arrays (only the arrays the
 /// column uses are non-null). Pointers borrow from Relation::Columnar()
-/// or from arena scratch; the batch never owns storage.
+/// or from arena scratch; the batch never owns storage. A non-null array
+/// covers every row of the batch. A paged column holds its tags and its
+/// declared type's array only (none for a column declared null).
 struct Column {
   const uint8_t* tags = nullptr;  // data::ValueType per row
   const int64_t* ints = nullptr;
@@ -172,19 +188,26 @@ struct BatchView {
 Status EvalBatch(const Expr& e, const BatchView& v, const uint32_t* sel,
                  size_t n, Cell* out, Arena* scratch);
 
-/// Expr::Test over a batch: out[i] = 1 where the predicate passes.
-/// And/Or evaluate the right child only on the rows the left child left
-/// undecided — exactly Expr::Test's short-circuit.
+/// Expr::Test over a batch: out[i] = 1 where the predicate passes, else
+/// 0. And/Or evaluate the right child only on the rows the left child
+/// left undecided — exactly Expr::Test's short-circuit. A comparison of a
+/// scan column with a literal (either order) reads the column's tags and
+/// typed array in place and evaluates the literal once; its verdict is
+/// CompareCells's (a null fails, a NaN compares equal to every number,
+/// strings rank above numbers). Every other shape goes through
+/// EvalBatch.
 Status TestBatch(const Expr& e, const BatchView& v, const uint32_t* sel,
                  size_t n, uint8_t* out, Arena* scratch);
 
 /// Filter kernel: compacts sel[0..n) in place to the positions where `e`
-/// passes; returns the surviving count through *out_n.
+/// passes, with no branch on the verdicts; returns the surviving count
+/// through *out_n.
 Status FilterBatch(const Expr& e, const BatchView& v, uint32_t* sel,
                    size_t n, size_t* out_n, Arena* scratch);
 
 /// Hash kernel: out[i] = HashCell(v.Get(col, pos_i)) for the selected
-/// positions — one contiguous pass for join build/probe keys.
+/// positions — the probe hashes its key column in this one pass before
+/// it walks any chain.
 void HashColumn(const BatchView& v, size_t col, const uint32_t* sel,
                 size_t n, uint64_t* out);
 
@@ -197,10 +220,16 @@ void LoadMemBatch(const data::ColumnarView& view, size_t begin, size_t end,
 
 /// Loads a paged-scan morsel (pages [page_begin, page_end)) a page at a
 /// time: PagedRelation::DecodePage pins each page once and decodes every
-/// record straight into `scratch` columns, string payloads copied out of
-/// the frame. That is one getpage
-/// per page, and once the arena is warm the load allocates nothing.
-/// `raw_rows` counts decoded rows.
+/// record straight into `scratch` columns. Each column's tags and its
+/// declared type's array are sized once, before decoding, to
+/// rel.max_rows_per_page() rows per page; every value's tag and payload
+/// are written at its row index, string payloads copied out of the
+/// frame. That is one getpage per page, no growth copy, and once the
+/// arena is warm the load allocates nothing. A value that is neither
+/// null nor its column's declared type (a damaged page, or a Recover
+/// under the wrong schema) is IoError, and so is a value for a row past
+/// the sized arrays, which only a damaged page's partial last record can
+/// send — that write is skipped. `raw_rows` counts decoded rows.
 Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
                       size_t page_end, Arena* scratch, ColumnBatch* out,
                       uint64_t* raw_rows);

@@ -630,12 +630,14 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
       ArenaVec<const Cell*> match_build;
       match_pos.Init(&scratch);
       match_build.Init(&scratch);
+      uint64_t* hashes = scratch.AllocateArray<uint64_t>(cur_n);
+      HashColumn(view, bt.probe_col, nullptr, cur_n, hashes);
       for (uint32_t p = 0; p < cur_n; ++p) {
-        Cell key = view.Get(bt.probe_col, p);
-        uint64_t h = HashCell(key);
-        const BatchStagePart& part = bt.parts[h % kBatchPartitions];
+        const uint64_t h = hashes[p];
+        const BatchStagePart& part = bt.parts[PartitionOf(h)];
         if (part.rows == 0) continue;
-        for (uint32_t r = part.heads[h & part.mask]; r != 0;
+        const Cell key = view.Get(bt.probe_col, p);
+        for (uint32_t r = part.heads[BucketOf(h, part.mask)]; r != 0;
              r = part.next[r - 1]) {
           if (part.hashes[r - 1] != h) continue;
           const Cell* row = part.cells + size_t{r - 1} * bt.ncols;

@@ -12,7 +12,8 @@
 // codec's one parser: DecodeTuple builds a Tuple for point reads, and
 // DecodePage runs DecodeRecord over every record of a pinned frame, so a
 // paged scan loads a page with one getpage and no per-row copy — and
-// callers never see the record format.
+// callers never see the record format; max_rows_per_page() is the one
+// fact about it they may size arrays by.
 
 #ifndef DBM_STORAGE_PAGED_RELATION_H_
 #define DBM_STORAGE_PAGED_RELATION_H_
@@ -54,6 +55,17 @@ class PagedRelation {
   const data::Schema& schema() const { return schema_; }
   size_t rows() const { return file_->record_count(); }
   size_t pages() const { return file_->pages().size(); }
+
+  /// The most rows one page can hand DecodePage's sink. A record costs
+  /// its 2 slot-length bytes plus at least one tag byte per value, so a
+  /// page's RecordFile::kPayload bytes hold at most
+  /// kPayload / (2 + arity) whole records. A damaged page whose last
+  /// record is partial can still pass values for one row more — row
+  /// index max_rows_per_page() — before its decode fails, so a caller
+  /// that sizes arrays by this bound must guard that row.
+  size_t max_rows_per_page() const {
+    return RecordFile::kPayload / (2 + schema_.size());
+  }
 
   /// Appends `tuples` in order (RecordFile::AppendRecords). Every tuple
   /// is type-checked (CheckTuple) and sized against the page first, so a

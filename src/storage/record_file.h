@@ -123,12 +123,14 @@ class RecordFile {
   size_t record_count() const { return record_count_; }
   const std::vector<PageId>& pages() const { return pages_; }
 
+  /// Page header: record count and free offset.
+  static constexpr size_t kHeader = 4;
+  /// Bytes after the header, shared by slot lengths and records.
+  static constexpr size_t kPayload = kPageSize - kHeader;
   /// Maximum record payload a page can hold.
-  static constexpr size_t kMaxRecord = kPageSize - 4 - 2;
+  static constexpr size_t kMaxRecord = kPayload - 2;
 
  private:
-  static constexpr size_t kHeader = 4;  // count + free offset
-
   static uint16_t GetU16(const Page& page, size_t off) {
     return static_cast<uint16_t>(page.bytes[off] |
                                  (page.bytes[off + 1] << 8));

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -232,6 +233,14 @@ TEST(BatchKernelTest, FilterSelectivityZeroHalfOne) {
         {Gt(Col(0), Lit(Value{int64_t{1000}}))},  // selectivity 0
         {Lt(Col(0), Lit(Value{int64_t{50}}))},    // ~0.5
         {Ge(Col(0), Lit(Value{int64_t{0}}))},     // 1
+        // The literal on the left, a double column against an int
+        // literal, a string column, and a null literal (passes nothing).
+        {Gt(Lit(Value{int64_t{50}}), Col(0))},
+        {Le(Col(1), Lit(Value{int64_t{50}}))},
+        {Ge(Lit(Value{50.0}), Col(1))},
+        {Lt(Col(2), Lit(Value{std::string("s#5")}))},
+        {Ne(Lit(Value{std::string("s#3")}), Col(2))},
+        {Eq(Col(3), Lit(Value{}))},
     };
     for (const Case& c : cases) {
       BatchFixture fx(rel);
@@ -308,6 +317,191 @@ TEST(BatchKernelTest, HashColumnMatchesHashValue) {
             << "col " << col << " row " << i;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A scan column compared with a literal, read in place
+// ---------------------------------------------------------------------------
+
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Columns holding every value a comparison can trip on: nulls, NaN, both
+/// zeros, ints equal to a double, empty strings. Column m mixes every
+/// type, so strings meet numbers from the column side too.
+Relation MakeCompareEdges() {
+  Relation rel("edges", Schema({{"i", ValueType::kInt},
+                                {"d", ValueType::kDouble},
+                                {"s", ValueType::kString},
+                                {"m", ValueType::kInt}}));
+  const std::vector<Value> ints = {Value{}, Value{int64_t{3}},
+                                   Value{int64_t{0}}, Value{int64_t{-7}}};
+  const std::vector<Value> doubles = {Value{},    Value{kNaN}, Value{-0.0},
+                                      Value{0.0}, Value{3.0},  Value{2.5}};
+  const std::vector<Value> strings = {Value{}, Value{std::string()},
+                                      Value{std::string("abc")},
+                                      Value{std::string("abd")},
+                                      Value{std::string("3")}};
+  const std::vector<Value> mixed = {Value{},        Value{int64_t{3}},
+                                    Value{3.0},     Value{kNaN},
+                                    Value{-0.0},    Value{std::string()},
+                                    Value{std::string("abc")}};
+  for (size_t r = 0; r < 420; ++r) {
+    rel.InsertUnchecked(Tuple({ints[r % ints.size()],
+                               doubles[r % doubles.size()],
+                               strings[r % strings.size()],
+                               mixed[r % mixed.size()]}));
+  }
+  return rel;
+}
+
+/// Literals of every type, including the edges MakeCompareEdges holds.
+std::vector<Value> CompareLiterals() {
+  return {Value{},
+          Value{int64_t{3}},
+          Value{int64_t{0}},
+          Value{3.0},
+          Value{-0.0},
+          Value{0.0},
+          Value{kNaN},
+          Value{2.5},
+          Value{std::string()},
+          Value{std::string("abc")},
+          Value{std::string("abd")}};
+}
+
+constexpr CmpOp kCmpOps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                             CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+
+/// Runs TestBatch for `e` over every position of `v` and over every other
+/// one, and checks each verdict is 0 or 1 and agrees with Expr::Test on
+/// the position's tuple.
+void ExpectTestMatchesRows(const Expr& e, const BatchView& v,
+                           const std::vector<Tuple>& tuples, Arena* arena) {
+  const size_t n = tuples.size();
+  std::vector<uint32_t> odd;
+  for (uint32_t p = 1; p < n; p += 2) odd.push_back(p);
+  for (const uint32_t* sel : {static_cast<const uint32_t*>(nullptr),
+                              static_cast<const uint32_t*>(odd.data())}) {
+    const size_t m = sel == nullptr ? n : odd.size();
+    std::vector<uint8_t> out(m, 7);
+    ASSERT_TRUE(TestBatch(e, v, sel, m, out.data(), arena).ok());
+    for (size_t i = 0; i < m; ++i) {
+      const size_t pos = sel == nullptr ? i : sel[i];
+      auto row = e.Test(tuples[pos]);
+      ASSERT_TRUE(row.ok());
+      ASSERT_LE(out[i], 1) << e.ToString();
+      EXPECT_EQ(out[i] == 1, *row)
+          << e.ToString() << " on " << tuples[pos].ToString();
+    }
+  }
+}
+
+TEST(BatchKernelTest, ScanColumnVersusLiteralMatchesRowTest) {
+  const Relation rel = MakeCompareEdges();
+  BatchFixture fx(rel);
+  for (size_t col = 0; col < rel.schema().size(); ++col) {
+    for (const Value& lit : CompareLiterals()) {
+      for (CmpOp op : kCmpOps) {
+        ExpectTestMatchesRows(*Compare(op, Col(col), Lit(lit)), fx.view,
+                              rel.rows(), &fx.arena);
+        ExpectTestMatchesRows(*Compare(op, Lit(lit), Col(col)), fx.view,
+                              rel.rows(), &fx.arena);
+      }
+    }
+  }
+}
+
+TEST(BatchKernelTest, ScanColumnComparisonReadsThroughJoinPositions) {
+  // The view after one join stage: column 0 is the build row's cell (a
+  // segment), columns 1.. are scan columns read through pos_to_row. The
+  // positions fan out as a join does: scan row r appears r % 3 times, in
+  // descending order.
+  const Relation rel = MakeCompareEdges();
+  BatchFixture fx(rel);
+  const Cell build = CellFromValue(Value{int64_t{3}});
+  std::vector<uint32_t> pos_to_row;
+  std::vector<Tuple> joined;
+  for (size_t r = rel.rows().size(); r-- > 0;) {
+    for (size_t k = 0; k < r % 3; ++k) {
+      pos_to_row.push_back(static_cast<uint32_t>(r));
+      Tuple t({Value{int64_t{3}}});
+      for (const Value& v : rel.rows()[r].values) t.values.push_back(v);
+      joined.push_back(std::move(t));
+    }
+  }
+  std::vector<const Cell*> seg(pos_to_row.size(), &build);
+  const Cell* const* segs[] = {seg.data()};
+  std::vector<ColRef> colmap = {{ColSrc::kSeg, 0, 0}};
+  for (uint32_t c = 0; c < rel.schema().size(); ++c) {
+    colmap.push_back({ColSrc::kScan, 0, c});
+  }
+  BatchView view;
+  view.batch = &fx.batch;
+  view.pos_to_row = pos_to_row.data();
+  view.colmap = colmap.data();
+  view.arity = colmap.size();
+  view.segs = segs;
+  for (size_t col = 0; col < view.arity; ++col) {
+    for (const Value& lit : CompareLiterals()) {
+      for (CmpOp op : kCmpOps) {
+        ExpectTestMatchesRows(*Compare(op, Col(col), Lit(lit)), view, joined,
+                              &fx.arena);
+        ExpectTestMatchesRows(*Compare(op, Lit(lit), Col(col)), view, joined,
+                              &fx.arena);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Join tables
+// ---------------------------------------------------------------------------
+
+TEST(BatchJoinTableTest, BucketsSpreadEachPartitionsKeys) {
+  // 2,000 distinct int keys, as perfbench's people ids. Every key of a
+  // partition shares the hash's low bits, so a table that took its bucket
+  // from those bits again would use 1/16 of its buckets at most.
+  Relation keys("people", Schema({{"id", ValueType::kInt}}));
+  for (int64_t k = 0; k < 2000; ++k) keys.InsertUnchecked(Tuple({k}));
+  Arena scratch, state;
+  ColumnBatch batch;
+  LoadMemBatch(keys.Columnar(), 0, keys.size(), &scratch, &batch);
+  BuildCollector collector;
+  collector.Init(1, 0, &state);
+  collector.AddBatch(batch, nullptr, batch.rows);
+
+  BatchStagePart parts[kBatchPartitions];
+  size_t rows = 0, buckets = 0, used = 0, links = 0;
+  for (size_t p = 0; p < kBatchPartitions; ++p) {
+    MergePartition(&collector, 1, p, &state, &parts[p]);
+    rows += parts[p].rows;
+    if (parts[p].rows == 0) continue;
+    buckets += parts[p].mask + 1;
+    for (size_t b = 0; b <= parts[p].mask; ++b) {
+      size_t len = 0;
+      for (uint32_t r = parts[p].heads[b]; r != 0; r = parts[p].next[r - 1]) {
+        ++len;
+      }
+      used += len > 0;
+      links += len * len;  // a probe of each of the chain's keys walks it all
+    }
+  }
+  ASSERT_EQ(rows, keys.size());
+  EXPECT_GT(used * 16, buckets) << used << " of " << buckets << " buckets";
+  EXPECT_LT(static_cast<double>(links) / static_cast<double>(rows), 2.0)
+      << links << " links for " << rows << " probes";
+
+  // The probe finds every key in the bucket the build put it in.
+  for (const Tuple& t : keys.rows()) {
+    const uint64_t h = HashValue(t.at(0));
+    const BatchStagePart& part = parts[PartitionOf(h)];
+    size_t found = 0;
+    for (uint32_t r = part.heads[BucketOf(h, part.mask)]; r != 0;
+         r = part.next[r - 1]) {
+      found += CompareValues(CellToValue(part.cells[r - 1]), t.at(0)) == 0;
+    }
+    EXPECT_EQ(found, 1u) << t.ToString();
   }
 }
 
@@ -423,8 +617,18 @@ TEST(BatchEngineTest, TwoStageJoinWithPostFilterEquivalence) {
   s2.build.mem = &d2;
   s2.spec = JoinSpec{0, 1};
   plan.joins.push_back(std::move(s2));
-  plan.post_filter = Gt(Col(4), Lit(Value{int64_t{20}}));  // probe.a > 20
-  ExpectMatchesSerialAtEveryDop(plan);
+  // Pipeline: d2(g,name) ++ d1(k,g) ++ probe(a,b,c,d). Each filter
+  // compares probe scan columns with literals, read through pos_to_row.
+  for (ExprPtr filter :
+       {Gt(Col(4), Lit(Value{int64_t{20}})),  // probe.a > 20
+        Le(Lit(Value{int64_t{20}}), Col(4)),
+        And(Ge(Col(5), Lit(Value{25.0})),
+            Ne(Lit(Value{std::string("s#3")}), Col(6))),
+        Or(Eq(Col(7), Lit(Value{})), Lt(Col(5), Lit(Value{int64_t{10}})))}) {
+    SCOPED_TRACE(filter->ToString());
+    plan.post_filter = filter;
+    ExpectMatchesSerialAtEveryDop(plan);
+  }
 }
 
 TEST(BatchEngineTest, AggregationOneGroupAndAllDistinct) {

@@ -9,7 +9,8 @@
 //    workloads with tiny buffer pools, batches of records sized around
 //    page boundaries land page-filled and re-attach, and a bit flipped
 //    anywhere in a page's slot directory never makes a reader leave the
-//    frame.
+//    frame — nor, anywhere in the page, makes a paged batch load write
+//    past its column arrays.
 
 #include <gtest/gtest.h>
 
@@ -22,8 +23,10 @@
 #include "common/rng.h"
 #include "component/reconfigure.h"
 #include "data/xml.h"
+#include "query/batch.h"
 #include "query/executor.h"
 #include "query/join.h"
+#include "storage/paged_relation.h"
 #include "storage/record_file.h"
 
 namespace dbm {
@@ -476,6 +479,107 @@ TEST(RecordFileBitFlip, DirectoryFlipsNeverLeaveTheFrame) {
   }
   EXPECT_EQ(buffer.PinCount(pid), 1);  // every reader unpinned
   ASSERT_TRUE(buffer.Unpin(pid, false).ok());
+  EXPECT_TRUE(buffer.CheckInvariants().ok());
+}
+
+/// Loads page 0 of `rel` as a column batch into an arena whose every
+/// allocation is its own exact-size heap block, so the sanitizers see a
+/// write past any column array. An ok load must hold at most the page
+/// bound of rows, each cell null or its column's declared type.
+Status LoadFlippedPage(const storage::PagedRelation& rel) {
+  Arena scratch(1);
+  query::ColumnBatch batch;
+  Status s = query::LoadPagedBatch(rel, 0, 1, &scratch, &batch, nullptr);
+  if (!s.ok()) return s;
+  EXPECT_LE(batch.rows, rel.max_rows_per_page());
+  for (size_t c = 0; c < batch.ncols; ++c) {
+    const data::ValueType decl = rel.schema().field(c).type;
+    for (size_t r = 0; r < batch.rows; ++r) {
+      const query::Cell cell = query::CellOf(batch.cols[c], r);
+      EXPECT_TRUE(cell.tag == decl || cell.tag == data::ValueType::kNull)
+          << "row " << r << " col " << c;
+    }
+  }
+  return s;
+}
+
+TEST(RecordFileBitFlip, PagedBatchLoadsNeverLeaveTheirArrays) {
+  // One page of typed rows with nulls and empty strings, then every bit
+  // of its used bytes — header, slot lengths, tags, payloads — flipped in
+  // turn and the page loaded as a column batch. Every load returns ok or
+  // an error.
+  Rng rng(2424);
+  auto disk = std::make_shared<storage::DiskComponent>();
+  auto policy = std::make_shared<storage::LruPolicy>();
+  storage::BufferManager buffer("buf", 1);
+  buffer.FindPort("disk")->SetTarget(disk);
+  buffer.FindPort("policy")->SetTarget(policy);
+  data::Relation rel("flip", data::Schema({{"i", data::ValueType::kInt},
+                                           {"d", data::ValueType::kDouble},
+                                           {"s", data::ValueType::kString},
+                                           {"k", data::ValueType::kInt}}));
+  for (int64_t r = 0; r < 60; ++r) {
+    data::Tuple t({r, 0.25 * static_cast<double>(r),
+                   std::string(rng.Uniform(6), 'x'),
+                   static_cast<int64_t>(rng.Uniform(1000))});
+    if (rng.Uniform(4) == 0) t.values[rng.Uniform(4)] = data::Value{};
+    ASSERT_TRUE(rel.Insert(std::move(t)).ok());
+  }
+  auto paged = storage::PagedRelation::Load(rel, &buffer, disk.get());
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  ASSERT_EQ((*paged)->pages(), 1u);
+  ASSERT_TRUE(LoadFlippedPage(**paged).ok());
+
+  // The test holds its own pin throughout, so the frame stays put.
+  auto page = buffer.GetPage(0);
+  ASSERT_TRUE(page.ok());
+  uint8_t* frame = (*page)->bytes.data();
+  const size_t used = frame[2] | (frame[3] << 8);
+  size_t failed = 0;
+  for (size_t byte = 0; byte < used; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                   std::to_string(bit));
+      frame[byte] ^= static_cast<uint8_t>(1u << bit);
+      failed += !LoadFlippedPage(**paged).ok();
+      frame[byte] ^= static_cast<uint8_t>(1u << bit);
+    }
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_EQ(buffer.PinCount(0), 1);  // every load unpinned
+  ASSERT_TRUE(buffer.Unpin(0, false).ok());
+  EXPECT_TRUE(buffer.CheckInvariants().ok());
+}
+
+TEST(RecordFileBitFlip, PartialRecordAtThePageBoundIsNeverWritten) {
+  // At arity 5, 584 whole records of five nulls (7 bytes with their
+  // slots) take 4,088 of a page's 4,092 payload bytes, and a 2-byte
+  // record of two nulls takes the rest. Its two values arrive for row
+  // 584, the page bound, which a one-page load has no room for: the load
+  // must fail without writing them.
+  auto disk = std::make_shared<storage::DiskComponent>();
+  auto policy = std::make_shared<storage::LruPolicy>();
+  storage::BufferManager buffer("buf", 1);
+  buffer.FindPort("disk")->SetTarget(disk);
+  buffer.FindPort("policy")->SetTarget(policy);
+  storage::RecordFile file(&buffer, disk.get());
+  const std::vector<uint8_t> whole(5, 0), partial(2, 0);  // null tags
+  for (int r = 0; r < 584; ++r) ASSERT_TRUE(file.Append(whole).ok());
+  ASSERT_TRUE(file.Append(partial).ok());
+  ASSERT_EQ(file.pages().size(), 1u);
+
+  const data::Schema schema({{"a", data::ValueType::kInt},
+                             {"b", data::ValueType::kDouble},
+                             {"c", data::ValueType::kString},
+                             {"d", data::ValueType::kInt},
+                             {"e", data::ValueType::kNull}});
+  auto paged =
+      storage::PagedRelation::Recover("partial", schema, &buffer, disk.get());
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  EXPECT_EQ((*paged)->rows(), 585u);
+  EXPECT_EQ((*paged)->max_rows_per_page(), 584u);
+  Status s = LoadFlippedPage(**paged);
+  EXPECT_TRUE(s.IsIoError()) << s.ToString();
   EXPECT_TRUE(buffer.CheckInvariants().ok());
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "fault/injector.h"
+#include "query/batch.h"
 #include "query/executor.h"
 #include "query/join.h"
 #include "query/paged_source.h"
@@ -374,6 +375,117 @@ TEST(AppendPathTest, ConcurrentFlushAndCheckpointKeepEveryAckedRow) {
   EXPECT_GE(i, acked);
   fault::Injector::Default().Reset();
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// Typed paged batches: each column's tags and declared type's array
+// ---------------------------------------------------------------------
+
+/// (int, double, string, int) rows with a null in every column and empty
+/// strings among the strings.
+data::Relation NullsInEveryColumn(size_t rows) {
+  data::Relation rel("nulls", data::Schema({{"i", data::ValueType::kInt},
+                                            {"d", data::ValueType::kDouble},
+                                            {"s", data::ValueType::kString},
+                                            {"k", data::ValueType::kInt}}));
+  for (size_t r = 0; r < rows; ++r) {
+    data::Tuple t({static_cast<int64_t>(r) - 40, 0.5 * static_cast<double>(r),
+                   r % 4 == 0 ? std::string() : "s#" + std::to_string(r % 9),
+                   static_cast<int64_t>(r % 7)});
+    t.values[r % 5 == 4 ? 3 : r % 5] = data::Value{};
+    EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+  }
+  return rel;
+}
+
+TEST(PagedBatchTest, LoadsCellForCellLikeItsMemMirror) {
+  Rig rig(8);
+  const data::Relation rel = NullsInEveryColumn(1000);
+  auto paged = PagedRelation::Load(rel, rig.buffer.get(), rig.disk.get());
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  const size_t pages = (*paged)->pages();
+  auto page_rows = [&](size_t page) {
+    auto n = (*paged)->DecodePage(page, [](size_t, const FieldView&) {});
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    return n.ok() ? *n : 0;
+  };
+  ASSERT_GT(pages, 3u);
+  ASSERT_LT(page_rows(pages - 1), page_rows(0))
+      << "the last page should be only partly filled";
+
+  const data::ColumnarView& mirror = rel.Columnar();
+  for (size_t morsel_pages : {1u, 2u, 3u}) {
+    SCOPED_TRACE("morsel_pages=" + std::to_string(morsel_pages));
+    Arena paged_scratch, mem_scratch;
+    size_t row = 0;
+    for (size_t begin = 0; begin < pages; begin += morsel_pages) {
+      const size_t end = std::min(begin + morsel_pages, pages);
+      paged_scratch.Reset();
+      mem_scratch.Reset();
+      query::ColumnBatch got, want;
+      uint64_t raw = 0;
+      Status s = query::LoadPagedBatch(**paged, begin, end, &paged_scratch,
+                                       &got, &raw);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_EQ(raw, got.rows);
+      ASSERT_LE(got.rows, (*paged)->max_rows_per_page() * (end - begin));
+      ASSERT_LE(row + got.rows, rel.size());
+      query::LoadMemBatch(mirror, row, row + got.rows, &mem_scratch, &want);
+      ASSERT_EQ(got.ncols, want.ncols);
+      for (size_t c = 0; c < got.ncols; ++c) {
+        // Only the declared type's array.
+        const data::ValueType decl = rel.schema().field(c).type;
+        const query::Column& col = got.cols[c];
+        EXPECT_EQ(col.ints != nullptr, decl == data::ValueType::kInt);
+        EXPECT_EQ(col.doubles != nullptr, decl == data::ValueType::kDouble);
+        EXPECT_EQ(col.strings != nullptr, decl == data::ValueType::kString);
+        for (size_t r = 0; r < got.rows; ++r) {
+          const query::Cell a = query::CellOf(col, r);
+          const query::Cell b = query::CellOf(want.cols[c], r);
+          EXPECT_EQ(a.tag, b.tag) << "row " << row + r << " col " << c;
+          EXPECT_TRUE(query::CellToValue(a) == query::CellToValue(b))
+              << "row " << row + r << " col " << c;
+        }
+      }
+      row += got.rows;
+    }
+    EXPECT_EQ(row, rel.size());
+  }
+}
+
+TEST(PagedBatchTest, RecoverUnderAWrongColumnTypeFailsTheLoad) {
+  // The same pages re-attached under a schema that gives one column
+  // another type: a stored value that is neither null nor the declared
+  // type is IoError, never a silently mistyped cell.
+  Rig rig(8);
+  const data::Relation people = data::gen::People(300, 4);
+  auto paged = PagedRelation::Load(people, rig.buffer.get(), rig.disk.get());
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  auto load = [&](const data::Schema& schema) {
+    auto recovered = PagedRelation::Recover("people", schema,
+                                            rig.buffer.get(), rig.disk.get());
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    if (!recovered.ok()) return recovered.status();
+    EXPECT_EQ((*recovered)->rows(), people.size());
+    Arena scratch;
+    query::ColumnBatch batch;
+    return query::LoadPagedBatch(**recovered, 0, (*recovered)->pages(),
+                                 &scratch, &batch, nullptr);
+  };
+  EXPECT_TRUE(load(people.schema()).ok());
+  for (size_t c = 0; c < people.schema().size(); ++c) {
+    for (data::ValueType type :
+         {data::ValueType::kNull, data::ValueType::kInt,
+          data::ValueType::kDouble, data::ValueType::kString}) {
+      std::vector<data::Field> fields = people.schema().fields();
+      if (fields[c].type == type) continue;
+      fields[c].type = type;
+      SCOPED_TRACE("column " + fields[c].name + " read as " +
+                   data::ValueTypeName(type));
+      Status s = load(data::Schema(fields));
+      EXPECT_TRUE(s.IsIoError()) << s.ToString();
+    }
+  }
 }
 
 TEST(PagedSourceTest, QueryOverPagedDataMatchesMemSource) {

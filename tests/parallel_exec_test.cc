@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -434,11 +436,68 @@ TEST(ParallelExecTest, ScanWithoutInputIsRejectedAtEveryDop) {
 // Mid-query dop governance
 // ---------------------------------------------------------------------------
 
+/// A disk whose page reads wait, once Close() has run, until Open() does.
+/// The governor tests open it from their governor, so no worker gets past
+/// its first page miss before the coordinator's first sample, however the
+/// threads are scheduled.
+class GatedDisk : public storage::DiskComponent {
+ public:
+  Status Read(storage::PageId id, storage::Page* out) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return open_; });
+    }
+    return DiskComponent::Read(id, out);
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+};
+
+/// A relation on the pages of a closed GatedDisk, behind a 16-frame pool:
+/// the load leaves at most its last 16 pages cached, and a scan takes its
+/// pages in order from the first, so every worker's first read goes to
+/// the disk.
+struct GatedPages {
+  std::shared_ptr<GatedDisk> disk = std::make_shared<GatedDisk>();
+  std::shared_ptr<storage::LruPolicy> policy =
+      std::make_shared<storage::LruPolicy>();
+  std::shared_ptr<storage::BufferManager> buffer =
+      std::make_shared<storage::BufferManager>("buf", 16, /*shards=*/4);
+  std::unique_ptr<storage::PagedRelation> paged;  // null if the load failed
+
+  explicit GatedPages(const Relation& rel) {
+    buffer->FindPort("disk")->SetTarget(disk);
+    buffer->FindPort("policy")->SetTarget(policy);
+    auto loaded = storage::PagedRelation::Load(rel, buffer.get(), disk.get());
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    if (!loaded.ok()) return;
+    paged = std::move(*loaded);
+    EXPECT_GT(paged->pages(), 16u * 4);
+    disk->Close();
+  }
+};
+
 TEST(ParallelExecTest, GovernorScalesUpMidQuery) {
   ScopedFaultSpec quiet("");
   Relation orders = MakeOrders(60000, 100, 17);
+  GatedPages gated(orders);
+  ASSERT_NE(gated.paged, nullptr);
   ParallelPlan plan;
-  plan.probe.mem = &orders;
+  plan.probe.paged = gated.paged.get();
   plan.probe.filter = Gt(Col(1), Lit(int64_t{0}));
 
   WorkerPool pool(4);
@@ -446,11 +505,12 @@ TEST(ParallelExecTest, GovernorScalesUpMidQuery) {
   opt.dop = 2;
   opt.dop_max = 4;
   opt.pool = &pool;
-  opt.morsel_rows = 64;  // many morsels: the query outlives the governor
+  opt.morsel_pages = 1;  // many morsels: the query outlives the governor
   opt.govern_interval = std::chrono::microseconds(100);
   std::atomic<uint64_t> calls{0};
   opt.governor = [&](const GovernorSample& sample) -> size_t {
     calls.fetch_add(1);
+    gated.disk->Open();
     EXPECT_EQ(sample.dop_max, 4u);
     return 4;  // always ask for the ceiling
   };
@@ -459,30 +519,41 @@ TEST(ParallelExecTest, GovernorScalesUpMidQuery) {
   auto stats = ExecuteParallel(plan, &out, opt);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_GE(stats->samples, 1u) << "query finished before the first "
-                                   "governor sample; grow the relation";
+                                   "governor sample";
   EXPECT_GE(calls.load(), 1u);
   EXPECT_EQ(stats->dop_initial, 2u);
   EXPECT_EQ(stats->dop_final, 4u);
   EXPECT_GE(stats->dop_switches, 1u);
 
   // Same rows as the serial plan regardless of the mid-query switch.
-  EXPECT_EQ(Canon(out), Canon(SerialRows(plan)));
+  ParallelPlan mem_plan = plan;
+  mem_plan.probe.paged = nullptr;
+  mem_plan.probe.mem = &orders;
+  EXPECT_EQ(Canon(out), Canon(SerialRows(mem_plan)));
+  EXPECT_TRUE(gated.buffer->CheckInvariants().ok());
 }
 
 TEST(ParallelExecTest, PublishesExecMetricsOnBus) {
   ScopedFaultSpec quiet("");
   Relation orders = MakeOrders(60000, 100, 23);
+  GatedPages gated(orders);
+  ASSERT_NE(gated.paged, nullptr);
   ParallelPlan plan;
-  plan.probe.mem = &orders;
+  plan.probe.paged = gated.paged.get();
 
   adapt::MetricBus bus;
   WorkerPool pool(2);
   ParallelOptions opt;
   opt.dop = 2;
   opt.pool = &pool;
-  opt.morsel_rows = 64;
+  opt.morsel_pages = 1;
   opt.govern_interval = std::chrono::microseconds(100);
   opt.bus = &bus;
+  // Opens the disk and leaves the dop alone.
+  opt.governor = [&](const GovernorSample&) -> size_t {
+    gated.disk->Open();
+    return 0;
+  };
   std::vector<Tuple> out;
   auto stats = ExecuteParallel(plan, &out, opt);
   ASSERT_TRUE(stats.ok());
