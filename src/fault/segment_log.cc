@@ -1,8 +1,5 @@
 #include "fault/segment_log.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -10,8 +7,8 @@
 
 #include "common/crc32.h"
 #include "common/payload_reader.h"
+#include "fault/durable_file.h"
 #include "fault/injector.h"
-#include "fault/log.h"
 #include "obs/metrics.h"
 #include "obs/tracectx.h"
 
@@ -24,45 +21,22 @@ struct SegmentFile {
   std::string name;
 };
 
-/// Opens `path` with `flags`, fsyncs it and closes it.
-bool FsyncPath(const std::string& path, int flags) {
-  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
-  if (fd < 0) return false;
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  return synced;
-}
-
-/// Writes zeros over [from, to) of `fd` without moving its offset. False
-/// on a failed or short write.
-bool WriteZeros(int fd, uint64_t from, uint64_t to) {
-  static const char kZeros[64 << 10] = {};
-  while (from < to) {
-    const size_t n =
-        static_cast<size_t>(std::min<uint64_t>(sizeof(kZeros), to - from));
-    if (::pwrite(fd, kZeros, n, static_cast<off_t>(from)) !=
-        static_cast<ssize_t>(n)) {
-      return false;
-    }
-    from += n;
-  }
-  return true;
-}
-
-/// The parents of the directories that creating `dir` makes, deepest
-/// first: each new directory is an entry in its parent, which only an
-/// fsync of that parent makes durable.
-std::vector<std::string> ParentsOfMissingDirs(const std::string& dir) {
-  std::vector<std::string> parents;
+/// The directories whose entries opening a log in `dir` changes, in
+/// fsync order: `dir` itself, for the segment Open creates, then the
+/// parent of each directory that creating `dir` makes, deepest first —
+/// each new directory is an entry in its parent, which only an fsync of
+/// that parent makes durable.
+std::vector<std::string> UnsyncedDirs(const std::string& dir) {
+  std::vector<std::string> dirs{dir};
   std::filesystem::path p = std::filesystem::path(dir).lexically_normal();
   if (!p.has_filename()) p = p.parent_path();  // "a/b/" names "a/b"
   std::error_code ec;
   while (!p.empty() && !std::filesystem::exists(p, ec)) {
     std::filesystem::path parent = p.parent_path();
-    parents.push_back(parent.empty() ? "." : parent.string());
+    dirs.push_back(parent.empty() ? "." : parent.string());
     p = std::move(parent);
   }
-  return parents;
+  return dirs;
 }
 
 /// The sequence number of "<prefix><digits>.seg"; nullopt for any other
@@ -151,10 +125,8 @@ void EndFrame(std::string* out, size_t at) {
   const uint32_t crc = Crc32(
       reinterpret_cast<const uint8_t*>(out->data()) + at + kFrameHeaderBytes,
       len);
-  for (size_t i = 0; i < 4; ++i) {
-    (*out)[at + i] = static_cast<char>((len >> (8 * i)) & 0xff);
-    (*out)[at + 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
+  PutLeAt(out, at, static_cast<uint32_t>(len));
+  PutLeAt(out, at + 4, crc);
 }
 
 size_t ParseFrame(const SegmentFormat& format, const uint8_t* data, size_t n,
@@ -235,19 +207,12 @@ Status ScanSegments(const SegmentFormat& format, const std::string& dir,
   return Status::OK();
 }
 
-Status FsyncDirectory(const std::string& dir) {
-  if (!FsyncPath(dir, O_RDONLY | O_DIRECTORY)) {
-    return Status::IoError("fsync failed on directory '" + dir + "'");
-  }
-  return Status::OK();
-}
-
 SegmentLog::SegmentLog(const SegmentFormat& format, SegmentLogOptions options)
     : format_(format),
       options_(std::move(options)),
       point_(Injector::Default().GetPoint(options_.fault_point)) {}
 
-SegmentLog::~SegmentLog() { Close(); }
+SegmentLog::~SegmentLog() = default;
 
 Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
     const SegmentFormat& format, SegmentLogOptions options, const FrameFn& fn,
@@ -255,7 +220,7 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
   if (options.dir.empty()) {
     return Status::InvalidArgument("a segment log needs a directory");
   }
-  std::vector<std::string> parents = ParentsOfMissingDirs(options.dir);
+  std::vector<std::string> unsynced_dirs = UnsyncedDirs(options.dir);
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);
   if (ec) {
@@ -264,7 +229,7 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
   }
   DBM_RETURN_NOT_OK(ScanSegments(format, options.dir, fn, report));
   std::unique_ptr<SegmentLog> log(new SegmentLog(format, std::move(options)));
-  log->unsynced_parents_ = std::move(parents);
+  log->unsynced_dirs_ = std::move(unsynced_dirs);
 
   size_t survivors = report->segments.size();
   if (report->truncated) {
@@ -273,18 +238,13 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
     const std::string& torn = report->truncated_segment;
     const uint64_t torn_seq = report->segments.back().seq;
     if (report->truncated_offset <= kSegmentHeaderBytes) {
-      ::unlink(torn.c_str());
+      std::filesystem::remove(torn, ec);
       --survivors;
-    } else if (::truncate(torn.c_str(),
-                          static_cast<off_t>(report->truncated_offset)) != 0) {
-      return Status::IoError("cannot truncate the torn tail of '" + torn +
-                             "'");
-    } else if (!FsyncPath(torn, O_WRONLY)) {
+    } else {
       // A lost truncate brings the tear back, and the next scan would
       // stop there, before every segment written after this repair.
-      return Status::IoError("cannot fsync the repaired tail of '" + torn +
-                             "'");
-    } else {
+      DBM_RETURN_NOT_OK(
+          DurableFile::Truncate(torn, report->truncated_offset));
       log->CountFsync();
     }
     // ...and unlink every segment past the tear, by sequence number: a
@@ -292,7 +252,7 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
     // later segments must not outlive it for the next scan to resurrect.
     for (const SegmentFile& file : ListSegments(format, log->dir())) {
       if (file.seq > torn_seq) {
-        ::unlink((log->dir() + "/" + file.name).c_str());
+        std::filesystem::remove(log->dir() + "/" + file.name, ec);
       }
     }
   }
@@ -315,29 +275,20 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
 Status SegmentLog::OpenSegment() {
   const uint64_t seq = next_seq_++;
   std::string path = options_.dir + "/" + SegmentFileName(format_, seq);
-  fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd_ < 0) {
-    return Status::Unavailable("cannot open segment '" + path + "'");
-  }
   std::string header;
   EncodeSegmentHeader(format_, &header);
-  if (::write(fd_, header.data(), header.size()) !=
-      static_cast<ssize_t>(header.size())) {
-    ::close(fd_);
-    fd_ = -1;
-    return Status::Unavailable("cannot write the header of segment '" +
-                               path + "'");
-  }
+  DBM_ASSIGN_OR_RETURN(
+      file_, DurableFile::Open(path, header, point_, /*truncate=*/true));
   segments_.push_back({.path = std::move(path), .seq = seq});
   ++segments_created_;
-  dir_dirty_ = true;
+  NoteDirChange();
   open_zeroed_ = false;
   return Status::OK();
 }
 
 Status SegmentLog::Append(std::string_view frame, uint64_t lsn,
                           SimTime at_us) {
-  if (dead_ || fd_ < 0) {
+  if (dead_ || file_ == nullptr) {
     dead_ = true;
     return Status::Unavailable("segment log '" + dir() + "' is dead");
   }
@@ -354,33 +305,15 @@ Status SegmentLog::Append(std::string_view frame, uint64_t lsn,
       return opened;
     }
   }
-  if (point_->armed()) {
-    const Decision verdict = point_->Decide();
-    if (verdict.crash) {
-      // Act the crash out: half a frame on disk, then the log dies —
-      // exactly the torn tail a kill -9 mid-append leaves behind.
-      // Recovery must truncate here and keep every frame before it.
-      (void)!::write(fd_, frame.data(), frame.size() / 2);
-      dead_ = true;
-      Record(FaultEventKind::kInjected, point_->name(),
-             "crash mid-append: torn frame in " + segments_.back().path,
-             at_us);
-      return Status::Unavailable("segment log '" + dir() +
-                                 "' is dead (injected crash mid-append)");
-    }
-    if (verdict.error) {
-      // A failed append leaves no bytes and consumes no sequence number:
-      // the caller may retry and the history stays contiguous.
-      return Status::IoError("injected append error at " + point_->name());
-    }
-  }
-  if (::write(fd_, frame.data(), frame.size()) !=
-      static_cast<ssize_t>(frame.size())) {
-    dead_ = true;
-    return Status::Unavailable("short write to segment '" +
-                               segments_.back().path + "'");
-  }
   Segment& open = segments_.back();
+  // A crash leaves half the frame, the torn tail recovery cuts; an error
+  // leaves nothing and consumes no sequence number.
+  if (Status written =
+          file_->Write(kSegmentHeaderBytes + open.bytes, frame, at_us);
+      !written.ok()) {
+    dead_ = file_->dead();
+    return written;
+  }
   ++open.frames;
   open.bytes += frame.size();
   if (open.first_lsn == 0) open.first_lsn = lsn;
@@ -397,7 +330,7 @@ Status SegmentLog::Append(std::string_view frame, uint64_t lsn,
 
 Status SegmentLog::Fsync() {
   if (dead_) return Status::Unavailable("segment log '" + dir() + "' is dead");
-  if (fd_ < 0) return Status::OK();
+  if (file_ == nullptr) return Status::OK();
   std::optional<obs::SpanScope> span;
   if (options_.fsync_span != nullptr) {
     span.emplace(options_.fsync_span, "storage");
@@ -407,43 +340,26 @@ Status SegmentLog::Fsync() {
     // Extend the segment to its full size now, so later appends
     // overwrite zeros in place and later fsyncs journal no new size or
     // block map — only data.
-    if (!WriteZeros(fd_, kSegmentHeaderBytes + open.bytes,
-                    options_.segment_bytes)) {
+    if (Status filled = file_->Zero(kSegmentHeaderBytes + open.bytes,
+                                    options_.segment_bytes);
+        !filled.ok()) {
       dead_ = true;
-      return Status::Unavailable("short write filling segment '" +
-                                 open.path + "'");
+      return filled;
     }
     open_zeroed_ = true;
   }
-  if (::fsync(fd_) != 0) {
-    // fsyncgate: a failed fsync may have dropped the dirty pages, and
-    // retrying cannot bring them back. The barrier must not advance —
-    // callers would act on bytes the log never made durable — so the
-    // log dies here.
+  // The segment, then each directory whose entries changed: a segment's
+  // bytes are no use after a power loss if its name is not durable too,
+  // nor is an unlink that has not reached the disk, nor a log directory
+  // whose own entry is not. On a failure (fsyncgate) the log dies and
+  // the barrier stays: callers would act on bytes never made durable.
+  if (Status synced = file_->Fsync(unsynced_dirs_); !synced.ok()) {
     dead_ = true;
-    return Status::IoError("fsync failed on segment '" + open.path + "'");
+    return synced;
   }
   CountFsync();
-  // A segment's bytes are no use after a power loss if its directory
-  // entry is not durable too, nor is an unlink that has not reached the
-  // disk, nor a log directory whose own entry is not. The same
-  // fsyncgate rule holds for each directory.
-  if (dir_dirty_) {
-    if (Status synced = FsyncDirectory(dir()); !synced.ok()) {
-      dead_ = true;
-      return synced;
-    }
-    dir_dirty_ = false;
-    ++dir_fsyncs_;
-  }
-  for (const std::string& parent : unsynced_parents_) {
-    if (Status synced = FsyncDirectory(parent); !synced.ok()) {
-      dead_ = true;
-      return synced;
-    }
-    ++dir_fsyncs_;
-  }
-  unsynced_parents_.clear();
+  dir_fsyncs_ += unsynced_dirs_.size();
+  unsynced_dirs_.clear();
   if (segments_.front().seq > unsynced_seal_seq_) durable_lsn_ = flushed_lsn_;
   bytes_since_fsync_ = 0;
   return Status::OK();
@@ -468,11 +384,12 @@ Status SegmentLog::Seal() {
 size_t SegmentLog::UnlinkOldestWhile(
     const std::function<bool(const Segment&)>& drop) {
   size_t unlinked = 0;
+  std::error_code ec;
   while (segments_.size() > 1 && drop(segments_.front())) {
-    ::unlink(segments_.front().path.c_str());
+    std::filesystem::remove(segments_.front().path, ec);
     segments_.pop_front();
     ++unlinked;
-    dir_dirty_ = true;
+    NoteDirChange();
   }
   return unlinked;
 }
@@ -482,11 +399,11 @@ void SegmentLog::CountFsync() {
   if (options_.fsync_counter != nullptr) options_.fsync_counter->Add(1);
 }
 
-void SegmentLog::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+void SegmentLog::NoteDirChange() {
+  // Only Open adds parents, and it adds the log directory first.
+  if (unsynced_dirs_.empty()) unsynced_dirs_.push_back(dir());
 }
+
+void SegmentLog::Close() { file_.reset(); }
 
 }  // namespace dbm::fault

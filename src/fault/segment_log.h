@@ -18,13 +18,13 @@
 // fsync changes the file's size or block map. What a payload means
 // belongs to the codec on top; everything else lives here once:
 //
-//  * Writing (SegmentLog). Rotation past segment_bytes; the fault point
-//    each append consults — a crash verdict writes half a frame, kills
-//    the log and records the fault (byte-for-byte a kill -9 mid-append),
-//    an error verdict writes nothing; fsync under the fsyncgate rule — a
-//    failed fsync kills the log and the durable barrier stays where it
-//    was, because the kernel may already have dropped the dirty pages;
-//    and unlinking old segments.
+//  * Writing (SegmentLog). Rotation past segment_bytes, the durable
+//    barrier and unlinking old segments. Each segment is one DurableFile
+//    (fault/durable_file.h), which owns the rest: the fault point each
+//    append consults — a crash verdict writes half a frame, kills the
+//    log and records the fault, an error verdict writes nothing — and
+//    fsync under the fsyncgate rule: a failed fsync kills the log and
+//    the durable barrier stays where it was.
 //  * Reading (ScanSegments). The torn-tail rule: segments are visited in
 //    sequence order, and the first frame with a short header, an absurd
 //    or zero length, a CRC mismatch or a payload its codec rejects ends
@@ -79,6 +79,7 @@ class Counter;
 
 namespace dbm::fault {
 
+class DurableFile;
 class Point;
 
 inline constexpr size_t kSegmentHeaderBytes = 12;  // magic + u32 version
@@ -125,6 +126,16 @@ void PutLe(std::string* out, T v) {
   }
 }
 
+/// Overwrites (*out)[at, at + sizeof(T)) with `v`'s little-endian bytes:
+/// a checksum or length stamped over what follows it.
+template <typename T>
+void PutLeAt(std::string* out, size_t at, T v) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    (*out)[at + i] =
+        static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xff);
+  }
+}
+
 /// A codec's verdict on one CRC-valid payload during a scan.
 enum class ScanStep : uint8_t {
   kNext,  // trusted; keep scanning
@@ -167,10 +178,6 @@ struct SegmentScanReport {
 /// OK with an empty report. Never modifies the directory.
 Status ScanSegments(const SegmentFormat& format, const std::string& dir,
                     const FrameFn& fn, SegmentScanReport* report);
-
-/// fsyncs the directory `dir`, making the files created in it and
-/// unlinked from it durable.
-Status FsyncDirectory(const std::string& dir);
 
 struct SegmentLogOptions {
   std::string dir;                    // created if absent
@@ -253,11 +260,13 @@ class SegmentLog {
   Status Seal();
   /// Counts one segment fsync.
   void CountFsync();
+  /// Notes that the log directory changed: a segment created or unlinked.
+  void NoteDirChange();
 
   const SegmentFormat format_;
   const SegmentLogOptions options_;
   Point* point_;
-  int fd_ = -1;
+  std::unique_ptr<DurableFile> file_;  // the open segment; null once closed
   uint64_t next_seq_ = 1;
   std::deque<Segment> segments_;
   uint64_t flushed_lsn_ = 0;
@@ -267,11 +276,11 @@ class SegmentLog {
   uint64_t unsynced_seal_seq_ = 0;  // last segment sealed un-fsynced
   uint64_t fsyncs_ = 0;
   uint64_t dir_fsyncs_ = 0;
-  bool dir_dirty_ = false;  // a segment created or unlinked, not yet fsynced
   bool open_zeroed_ = false;  // the open segment's zero fill is written
-  /// Parents of the directories Open created, deepest first; fsynced and
-  /// cleared by the first Fsync.
-  std::vector<std::string> unsynced_parents_;
+  /// Directories whose entries changed since the last fsync, which the
+  /// next one fsyncs: the log directory, then the parent of each
+  /// directory Open created, deepest first.
+  std::vector<std::string> unsynced_dirs_;
   uint64_t segments_created_ = 0;
   bool dead_ = false;
 };

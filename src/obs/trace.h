@@ -1,18 +1,12 @@
-// Cycle-accounting trace scopes.
+// Host-time trace scopes.
 //
 // Two time bases coexist in the reproduction (see src/common/sim_clock.h):
-// simulated cycles on a deterministic os::CycleLedger, and real host time
-// for "is the simulator itself fast" questions. A span exists for each:
-//
-//   * LedgerSpan — deterministic: records the simulated cycles a
-//     CycleLedger accumulated while the scope was open. This is what the
-//     ORB's per-hop histogram uses, so the distribution reproduces
-//     bit-for-bit.
-//   * TraceSpan — host TSC ticks (rdtsc; steady_clock ns elsewhere) into
-//     a Histogram, for wall-clock profiling of the engine itself.
-//
-// Spans nest freely; CurrentDepth() exposes the per-thread nesting level
-// so exporters can tell inner scopes from outer ones.
+// simulated cycles on a deterministic os::CycleLedger, charged by the
+// code that does the simulated work (the ORB records its per-hop cycles
+// itself), and real host time for "is the simulator itself fast"
+// questions. TraceSpan measures the second: host TSC ticks (rdtsc;
+// steady_clock ns elsewhere) into a Histogram, for wall-clock profiling
+// of the engine itself. Spans nest freely.
 
 #ifndef DBM_OBS_TRACE_H_
 #define DBM_OBS_TRACE_H_
@@ -21,7 +15,6 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
-#include "os/cycles.h"
 
 namespace dbm::obs {
 
@@ -37,59 +30,21 @@ inline uint64_t NowTicks() {
 #endif
 }
 
-namespace internal {
-inline int& SpanDepth() {
-  thread_local int depth = 0;
-  return depth;
-}
-}  // namespace internal
-
 /// RAII scope recording elapsed host ticks into a Histogram.
 class TraceSpan {
  public:
-  explicit TraceSpan(Histogram* hist)
-      : hist_(hist), start_(NowTicks()) {
-    ++internal::SpanDepth();
-  }
+  explicit TraceSpan(Histogram* hist) : hist_(hist), start_(NowTicks()) {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan() {
-    --internal::SpanDepth();
     if (hist_ != nullptr) hist_->Record(NowTicks() - start_);
   }
 
   uint64_t ElapsedTicks() const { return NowTicks() - start_; }
-  /// Nesting level of the *current thread's* open spans (this span
-  /// included while it is alive).
-  static int CurrentDepth() { return internal::SpanDepth(); }
 
  private:
   Histogram* hist_;
   uint64_t start_;
-};
-
-/// RAII scope recording the simulated cycles a CycleLedger charged while
-/// the scope was open. Deterministic; safe to leave enabled in benches.
-class LedgerSpan {
- public:
-  LedgerSpan(const os::CycleLedger* ledger, Histogram* hist)
-      : ledger_(ledger), hist_(hist), start_(ledger->total()) {
-    ++internal::SpanDepth();
-  }
-  LedgerSpan(const LedgerSpan&) = delete;
-  LedgerSpan& operator=(const LedgerSpan&) = delete;
-  ~LedgerSpan() {
-    --internal::SpanDepth();
-    if (hist_ != nullptr) hist_->Record(ledger_->total() - start_);
-  }
-
-  os::Cycles ElapsedCycles() const { return ledger_->total() - start_; }
-  static int CurrentDepth() { return internal::SpanDepth(); }
-
- private:
-  const os::CycleLedger* ledger_;
-  Histogram* hist_;
-  os::Cycles start_;
 };
 
 }  // namespace dbm::obs

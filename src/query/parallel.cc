@@ -9,7 +9,6 @@
 #include "fault/log.h"
 #include "obs/alloc_hook.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/tracectx.h"
 #include "obs/waitstate.h"
 #include "query/batch.h"

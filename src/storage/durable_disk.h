@@ -1,10 +1,18 @@
 // File-backed pages and exactly-once crash recovery.
 //
-// FileDiskComponent persists pages to one segment file:
+// FileDiskComponent persists pages to one file:
 //
 //   [8B magic "DBMPAGE1"][u32 version][u32 page size]     16-byte header
 //   slot 0: [u32 crc][u32 page_id][u64 lsn][4096 bytes]   4112 bytes
 //   slot 1: ...
+//
+// all little-endian. The file is a fault::DurableFile
+// (fault/durable_file.h), the one type under this file and every log
+// segment: it owns the header rule, the crash act-out at
+// `storage.disk.write` and fsync under the fsyncgate rule. A header no
+// fsync covered may be lost while later slots persisted; Open then
+// writes it again and Recover repairs the slots from the WAL, which no
+// checkpoint has truncated before the page file's first fsync.
 //
 // The per-slot CRC covers (page_id, lsn, body), so a torn or bit-flipped
 // slot is detected on read — Status::DataLoss, never garbage rows. The
@@ -30,12 +38,12 @@
 #include <string>
 
 #include "common/result.h"
+#include "fault/durable_file.h"
 #include "obs/metrics.h"
 #include "storage/page.h"
 #include "storage/wal.h"
 
 namespace dbm::fault {
-class Point;
 class StateManager;
 }  // namespace dbm::fault
 
@@ -57,10 +65,11 @@ inline constexpr size_t kPageSlotBytes = kPageSlotHeaderBytes + kPageSize;
 class FileDiskComponent : public DiskComponent {
  public:
   /// Opens (creating if absent) the page file at `path`. An existing
-  /// file must carry a valid header; its slot count becomes
-  /// page_count(). Slot CRCs are NOT verified here — a latent torn slot
-  /// surfaces as DataLoss on first read, or is silently repaired by
-  /// Recover() first.
+  /// file must carry a valid header, or a lost one (shorter than the
+  /// header or all zeros), which is written again; any other header is
+  /// DataLoss. The whole slots after it become page_count(). Slot CRCs
+  /// are NOT verified here — a latent torn slot surfaces as DataLoss on
+  /// first read, or is silently repaired by Recover() first.
   static Result<std::unique_ptr<FileDiskComponent>> Open(
       const std::string& path, std::string name = "disk");
   ~FileDiskComponent() override;
@@ -91,34 +100,36 @@ class FileDiskComponent : public DiskComponent {
   uint64_t PageLsn(PageId id);
 
   /// fsync the page file, and its directory the first time after Open
-  /// created the file. On failure the disk dies: the dropped dirty pages
+  /// wrote its header. On failure the disk dies: the dropped dirty pages
   /// cannot be re-synced, and pretending the barrier passed would let
   /// checkpoint truncation unlink the WAL images that could repair them.
   Status Sync() override;
 
   /// Directory fsyncs Sync has issued (at most one, for a new file).
   uint64_t dir_fsyncs() const;
-  bool dead() const;
-  const std::string& path() const { return path_; }
+  bool dead() const { return file_->dead(); }
+  const std::string& path() const { return file_->path(); }
 
  private:
-  FileDiskComponent(std::string name, std::string path, int fd,
-                    size_t pages);
+  FileDiskComponent(std::string name,
+                    std::unique_ptr<fault::DurableFile> file, size_t pages);
 
-  static off_t SlotOffset(PageId id) {
-    return static_cast<off_t>(kPageFileHeaderBytes) +
-           static_cast<off_t>(id) * static_cast<off_t>(kPageSlotBytes);
+  static uint64_t SlotOffset(PageId id) {
+    return kPageFileHeaderBytes + uint64_t{id} * kPageSlotBytes;
   }
+  /// Reads page `id`'s slot into `slot` and checks it: NotFound for an
+  /// unallocated page, DataLoss for a short read, a CRC mismatch or
+  /// another page's slot.
+  Status ReadSlot(PageId id, char* slot, uint64_t* lsn) const;
 
-  std::string path_;
-  mutable std::mutex mu_;  // guards fd_ lifecycle, pages_, dead_, dir_*
-  int fd_ = -1;
+  const std::unique_ptr<fault::DurableFile> file_;
+  mutable std::mutex mu_;  // guards pages_, slot_, unsynced_dir_, dir_fsyncs_
   size_t pages_ = 0;
-  bool dead_ = false;
-  bool dir_dirty_ = false;  // Open created the file; its name is not durable
+  std::string slot_;  // Write's encode buffer, reused across writes
+  /// The file's directory while its name is not durable (Open wrote the
+  /// header); empty once Sync fsynced it.
+  std::string unsynced_dir_;
   uint64_t dir_fsyncs_ = 0;
-
-  fault::Point* write_point_;
 
   obs::Counter* m_reads_;
   obs::Counter* m_writes_;

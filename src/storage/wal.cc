@@ -1,14 +1,10 @@
 #include "storage/wal.h"
 
-#include "common/json.h"
 #include "common/payload_reader.h"
-#include "obs/health.h"
 
 namespace dbm::storage {
 
 namespace {
-
-std::atomic<Wal*> g_installed{nullptr};
 
 /// One page-image frame. The writeback hot path encodes straight into
 /// the log's scratch buffer with it: one image copy, no WalRecord detour.
@@ -159,7 +155,6 @@ Result<std::unique_ptr<Wal>> Wal::Open(WalOptions options) {
 }
 
 Wal::~Wal() {
-  Uninstall();
   std::lock_guard<std::mutex> lock(mu_);
   (void)log_->Fsync();  // best-effort on shutdown; a dead log refuses
 }
@@ -275,53 +270,6 @@ std::vector<std::string> Wal::SegmentPaths() const {
   for (const fault::Segment& seg : log_->segments()) {
     out.push_back(seg.path);
   }
-  return out;
-}
-
-void Wal::Install() {
-  g_installed.store(this, std::memory_order_release);
-  static bool section_registered = [] {
-    obs::RegisterFlightSection("wal", [] {
-      Wal* wal = Wal::Installed();
-      return wal == nullptr ? std::string("null")
-                            : wal->FlightSectionJson();
-    });
-    return true;
-  }();
-  (void)section_registered;
-}
-
-void Wal::Uninstall() {
-  Wal* self = this;
-  g_installed.compare_exchange_strong(self, nullptr);
-}
-
-Wal* Wal::Installed() {
-  return g_installed.load(std::memory_order_acquire);
-}
-
-std::string Wal::FlightSectionJson() const {
-  WalStats s = stats();
-  std::string out = "{\"dir\":\"" + JsonEscape(options_.dir) + "\"";
-  out += ",\"fsync\":\"" +
-         std::string(WalFsyncPolicyName(options_.fsync)) + "\"";
-  out += ",\"next_lsn\":" + std::to_string(s.next_lsn);
-  out += ",\"flushed_lsn\":" + std::to_string(s.flushed_lsn);
-  out += ",\"durable_lsn\":" + std::to_string(s.durable_lsn);
-  out += ",\"appends\":" + std::to_string(s.appends);
-  out += ",\"bytes\":" + std::to_string(s.bytes);
-  out += ",\"fsyncs\":" + std::to_string(s.fsyncs);
-  out += ",\"checkpoints\":" + std::to_string(s.checkpoints);
-  out += ",\"truncated_segments\":" + std::to_string(s.truncated_segments);
-  out += std::string(",\"dead\":") + (s.dead ? "true" : "false");
-  out += ",\"segments\":[";
-  bool first = true;
-  for (const std::string& path : SegmentPaths()) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(path) + "\"";
-  }
-  out += "]}";
   return out;
 }
 

@@ -164,14 +164,6 @@ class Wal {
   std::vector<std::string> SegmentPaths() const;
   const WalOptions& options() const { return options_; }
 
-  /// Registers this log as the flight-recorder "wal" section (the
-  /// section reads through Installed(), so a destroyed log never leaves
-  /// a dangling capture behind).
-  void Install();
-  void Uninstall();
-  static Wal* Installed();
-  std::string FlightSectionJson() const;
-
  private:
   Wal(WalOptions options, std::unique_ptr<fault::SegmentLog> log);
 

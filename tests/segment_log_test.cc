@@ -4,24 +4,30 @@
 // order, fsyncgate, pre-zeroed segments and the crash act-out — is
 // checked once here, for each codec, through that codec's own writer and
 // reader, or through the shared writer in that codec's format where the
-// check is about the writer alone (directory fsyncs, the zero fill).
+// check is about the writer alone (directory fsyncs, the zero fill). The
+// crash contract of the one durable-file type under both logs and the
+// page file runs here too, over all three files.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "fault/injector.h"
 #include "fault/log.h"
 #include "fault/segment_log.h"
 #include "obs/blackbox/format.h"
 #include "obs/blackbox/log.h"
 #include "obs/blackbox/reader.h"
+#include "storage/durable_disk.h"
 #include "storage/wal.h"
 
 namespace dbm {
@@ -821,6 +827,215 @@ TEST_P(SegmentLogTest, RepairFsyncsTheTruncatedSegment) {
 
 INSTANTIATE_TEST_SUITE_P(Codecs, SegmentLogTest,
                          ::testing::Values(Codec::kWal, Codec::kTelemetry));
+
+// ---------------------------------------------------------------------
+// One crash contract over every durable file
+// ---------------------------------------------------------------------
+
+/// One owner of a fault::DurableFile, driven through its public API.
+/// Unit `id` is what its id-th write puts on disk: page id's slot (LSN
+/// id, every body byte id) or the log's record id.
+class DurableOwner {
+ public:
+  virtual ~DurableOwner() = default;
+  virtual const char* fault_point() const = 0;
+  virtual Status Open(const std::string& dir) = 0;
+  virtual Status Write(uint64_t id) = 0;
+  virtual Status Fsync() = 0;
+  virtual bool dead() const = 0;
+  /// The file unit writes land in.
+  virtual std::string path() const = 0;
+  virtual std::string Unit(uint64_t id) const = 0;
+  virtual uint64_t Offset(uint64_t id) const = 0;
+};
+
+class PageFileOwner : public DurableOwner {
+ public:
+  const char* fault_point() const override { return "storage.disk.write"; }
+  Status Open(const std::string& dir) override {
+    fs::create_directories(dir);
+    DBM_ASSIGN_OR_RETURN(disk_,
+                         storage::FileDiskComponent::Open(dir + "/pages.dbm"));
+    for (int i = 0; i < 8; ++i) disk_->Allocate();
+    return Status::OK();
+  }
+  Status Write(uint64_t id) override {
+    storage::Page page;
+    page.bytes.fill(static_cast<uint8_t>(id));
+    return disk_->Write(static_cast<storage::PageId>(id), page, id);
+  }
+  Status Fsync() override { return disk_->Sync(); }
+  bool dead() const override { return disk_->dead(); }
+  std::string path() const override { return disk_->path(); }
+  /// [u32 crc][u32 page id][u64 lsn][body], the CRC over the rest.
+  std::string Unit(uint64_t id) const override {
+    std::string slot;
+    fault::PutLe(&slot, uint32_t{0});
+    fault::PutLe(&slot, static_cast<uint32_t>(id));
+    fault::PutLe(&slot, id);
+    slot.append(storage::kPageSize, static_cast<char>(id));
+    fault::PutLeAt(&slot, 0,
+                   Crc32(reinterpret_cast<const uint8_t*>(slot.data()) + 4,
+                         slot.size() - 4));
+    return slot;
+  }
+  uint64_t Offset(uint64_t id) const override {
+    return storage::kPageFileHeaderBytes + id * storage::kPageSlotBytes;
+  }
+
+ private:
+  std::unique_ptr<storage::FileDiskComponent> disk_;
+};
+
+/// A log through its codec, records 1, 2, ... in its first segment. The
+/// black box drops a frame its write refused, so a record that did not
+/// reach the log reads here as the IoError it met.
+class LogOwner : public DurableOwner {
+ public:
+  explicit LogOwner(std::unique_ptr<LogCodec> codec)
+      : codec_(std::move(codec)) {}
+  const char* fault_point() const override { return codec_->fault_point(); }
+  Status Open(const std::string& dir) override {
+    return codec_->Open(dir, /*segment_frames=*/64, 0);
+  }
+  Status Write(uint64_t id) override {
+    const uint64_t before = codec_->flushed();
+    DBM_RETURN_NOT_OK(codec_->Append(id));
+    return codec_->flushed() > before
+               ? Status::OK()
+               : Status::IoError("record " + std::to_string(id) +
+                                 " was dropped");
+  }
+  Status Fsync() override { return codec_->Flush(); }
+  bool dead() const override { return codec_->dead(); }
+  std::string path() const override { return codec_->SegmentPaths().back(); }
+  std::string Unit(uint64_t id) const override {
+    return codec_->EncodeFrame(id);
+  }
+  uint64_t Offset(uint64_t id) const override {
+    return codec_->SegmentBytes(id - 1);
+  }
+
+ private:
+  std::unique_ptr<LogCodec> codec_;
+};
+
+enum class DurableKind { kPageFile, kWalSegment, kTelemetrySegment };
+
+void PrintTo(DurableKind kind, std::ostream* os) {
+  *os << (kind == DurableKind::kPageFile     ? "PageFile"
+          : kind == DurableKind::kWalSegment ? "WalSegment"
+                                             : "TelemetrySegment");
+}
+
+class DurableFileTest : public ::testing::TestWithParam<DurableKind> {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(fault::Injector::Default().Configure("", 0).ok());
+    fault::FaultLog::Default().Clear();
+    switch (GetParam()) {
+      case DurableKind::kPageFile:
+        owner_ = std::make_unique<PageFileOwner>();
+        break;
+      case DurableKind::kWalSegment:
+        owner_ = std::make_unique<LogOwner>(std::make_unique<WalCodec>());
+        break;
+      case DurableKind::kTelemetrySegment:
+        owner_ = std::make_unique<LogOwner>(std::make_unique<TelemetryCodec>());
+        break;
+    }
+    std::ostringstream kind;
+    PrintTo(GetParam(), &kind);
+    std::string name = std::string(::testing::UnitTest::GetInstance()
+                                       ->current_test_info()
+                                       ->name()) +
+                       "_" + kind.str();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = (fs::temp_directory_path() / ("durable_file_test_" + name)).string();
+    fs::remove_all(dir_);
+    ASSERT_TRUE(owner_->Open(dir_).ok());
+  }
+  void TearDown() override {
+    owner_.reset();
+    fault::Injector::Default().Reset();
+    fs::remove_all(dir_);
+  }
+
+  void Arm(const char* kind) {
+    ASSERT_TRUE(fault::Injector::Default()
+                    .Configure(std::string(owner_->fault_point()) + ":" +
+                                   kind + "@1",
+                               1)
+                    .ok());
+  }
+
+  static std::string Contents(const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), {}};
+  }
+
+  size_t InjectedFaults() const {
+    size_t n = 0;
+    for (const fault::FaultEvent& ev : fault::FaultLog::Default().Snapshot()) {
+      n += ev.kind == fault::FaultEventKind::kInjected &&
+           std::string(ev.point) == owner_->fault_point();
+    }
+    return n;
+  }
+
+  std::unique_ptr<DurableOwner> owner_;
+  std::string dir_;
+};
+
+TEST_P(DurableFileTest, CrashLeavesHalfTheUnitAndKillsTheFile) {
+  ASSERT_TRUE(owner_->Write(1).ok());
+  ASSERT_TRUE(owner_->Write(2).ok());
+  const std::string path = owner_->path();
+  Arm("crash");
+  Status crashed = owner_->Write(3);
+  EXPECT_TRUE(crashed.IsUnavailable()) << crashed.ToString();
+  EXPECT_TRUE(owner_->dead());
+  EXPECT_EQ(InjectedFaults(), 1u);
+
+  // Exactly the first half of unit 3, at its offset, ends the file.
+  const std::string unit = owner_->Unit(3);
+  const std::string on_disk = Contents(path);
+  ASSERT_EQ(on_disk.size(), owner_->Offset(3) + unit.size() / 2);
+  EXPECT_EQ(on_disk.substr(owner_->Offset(3)), unit.substr(0, unit.size() / 2));
+  EXPECT_EQ(on_disk.substr(owner_->Offset(2), unit.size()), owner_->Unit(2));
+
+  // Dead stays dead, the fault point disarmed or not.
+  ASSERT_TRUE(fault::Injector::Default().Configure("", 0).ok());
+  Status write = owner_->Write(4);
+  EXPECT_TRUE(write.IsUnavailable()) << write.ToString();
+  Status fsync = owner_->Fsync();
+  EXPECT_TRUE(fsync.IsUnavailable()) << fsync.ToString();
+  EXPECT_EQ(Contents(path), on_disk);
+  EXPECT_EQ(InjectedFaults(), 1u);
+}
+
+TEST_P(DurableFileTest, ErrorWritesNothingAndTheRetryLands) {
+  ASSERT_TRUE(owner_->Write(1).ok());
+  const std::string path = owner_->path();
+  const std::string before = Contents(path);
+  Arm("error");
+  Status failed = owner_->Write(2);
+  EXPECT_TRUE(failed.IsIoError()) << failed.ToString();
+  EXPECT_FALSE(owner_->dead());
+  EXPECT_EQ(Contents(path), before);
+  EXPECT_EQ(InjectedFaults(), 0u);
+
+  ASSERT_TRUE(fault::Injector::Default().Configure("", 0).ok());
+  ASSERT_TRUE(owner_->Write(2).ok());
+  ASSERT_TRUE(owner_->Fsync().ok());
+  const std::string unit = owner_->Unit(2);
+  EXPECT_EQ(Contents(path).substr(owner_->Offset(2), unit.size()), unit);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFiles, DurableFileTest,
+                         ::testing::Values(DurableKind::kPageFile,
+                                           DurableKind::kWalSegment,
+                                           DurableKind::kTelemetrySegment));
 
 // ---------------------------------------------------------------------
 // Crash mid-append under the chaos seeds
